@@ -1,18 +1,13 @@
 """Reference (pre-vectorization) implementations of the hot paths.
 
 These are the straightforward per-worker / per-prefix implementations the
-repo shipped before the matrix-form rewrite.  They are kept for two
-reasons:
-
-* **Exactness anchors** — the property tests assert that the vectorized
-  kernels (:func:`repro.simulation.timing.simulate_worker_timings`,
-  :meth:`repro.coding.Decoder.earliest_decodable_prefix`,
-  :func:`repro.experiments.common.measure_timing_trace`) produce results
-  identical to these references on randomized strategies, clusters and
-  completion orders.
-* **Benchmark baselines** — ``repro bench`` measures the speedup of the
-  current implementations against these references, so the perf trajectory
-  stays measurable from PR 2 onward.
+repo shipped before the matrix-form rewrite.  They are kept as **exactness
+anchors**: the property tests assert that the vectorized kernels
+(:func:`repro.simulation.timing.simulate_worker_timings`,
+:meth:`repro.coding.Decoder.earliest_decodable_prefix`,
+:func:`repro.experiments.common.measure_timing_trace`) produce results
+identical to these references on randomized strategies, clusters and
+completion orders.
 
 Nothing here should be used in production paths; the public modules are
 always at least as fast and exactly equivalent.
@@ -258,10 +253,9 @@ def trace_from_arrays_records_reference(
     Before the columnar :meth:`~repro.simulation.trace.RunTrace.from_arrays`
     path, ``measure_timing_trace`` converted the batched kernel's arrays
     back into per-iteration :class:`IterationRecord` objects (``tolist`` +
-    tuple-of-floats per row).  Kept verbatim as the benchmark baseline for
-    ``timing_trace_columnar`` and as the serialization-equality anchor: a
-    trace built this way must produce byte-identical ``to_dict`` JSON to
-    the columnar trace over the same arrays.
+    tuple-of-floats per row).  Kept verbatim as the serialization-equality
+    anchor: a trace built this way must produce byte-identical ``to_dict``
+    JSON to the columnar trace over the same arrays.
     """
     trace = RunTrace(scheme=scheme, cluster_name=cluster_name, metadata=metadata)
     nan = float("nan")

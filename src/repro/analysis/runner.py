@@ -39,7 +39,7 @@ __all__ = [
 REPORT_FORMAT_VERSION = 1
 
 #: Directories never descended into during file discovery.
-_SKIP_DIRS = {"__pycache__", ".git", ".hypothesis", ".pytest_cache", ".benchmarks"}
+_SKIP_DIRS = {"__pycache__", ".git", ".hypothesis", ".pytest_cache"}
 
 
 class LintError(ValueError):

@@ -16,8 +16,8 @@ Usage (after ``pip install -e .`` or with ``PYTHONPATH`` set)::
     python -m repro plugins
 
 Each figure sub-command runs the corresponding experiment at a configurable
-scale and prints the same text table the benchmarks produce, so results can
-be regenerated without going through pytest.  All of them, plus the generic
+scale and prints its text table, so results can be regenerated without
+going through pytest.  All of them, plus the generic
 ``run`` sub-command, are thin declarative layers over
 :class:`repro.api.Engine`: ``run`` executes a single
 :class:`repro.api.RunSpec` (from flags or a JSON file) and can emit the full
@@ -205,37 +205,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--store", default=None, metavar="DIR",
                        help="run-store directory (default: $REPRO_STORE_DIR "
                             "or ~/.cache/repro/run_store)")
-
-    bench = subparsers.add_parser(
-        "bench",
-        help="time the vectorized kernels against the reference implementations",
-        description=(
-            "Run the performance benchmarks (kernels + end-to-end timing "
-            "trace + parallel sweep) and write a machine-readable "
-            "BENCH_<label>.json tracking the perf trajectory.  With "
-            "--compare, diff two existing payloads instead of running "
-            "anything; exits non-zero when a benchmark's speedup regressed "
-            "beyond the threshold."
-        ),
-    )
-    bench.add_argument("--smoke", action="store_true",
-                       help="CI-sized benchmarks (seconds instead of minutes)")
-    bench.add_argument("--label", default="PR10", help="tag stored in the payload")
-    bench.add_argument("--output", default=None, metavar="PATH",
-                       help="output JSON path (default BENCH_<label>.json; '-' to skip)")
-    bench.add_argument("--no-parallel", action="store_true",
-                       help="skip the process-pool sweep benchmark")
-    bench.add_argument("--executor", default="process_shm", metavar="NAME",
-                       help="executor timed as 'current' in the "
-                            "parallel_sweep_shm headline (default process_shm)")
-    bench.add_argument("--seed", type=int, default=0)
-    bench.add_argument("--compare", nargs=2, metavar=("BASELINE", "CURRENT"),
-                       help="diff two bench JSON payloads instead of benchmarking; "
-                            "exit 1 on regression")
-    bench.add_argument("--compare-threshold", type=float, default=0.10,
-                       metavar="FRACTION",
-                       help="allowed fractional speedup drop before a benchmark "
-                            "counts as regressed (default 0.10)")
 
     golden = subparsers.add_parser(
         "golden",
@@ -437,35 +406,6 @@ def _command_run(args: argparse.Namespace) -> str:
     )
 
 
-def _command_bench(args: argparse.Namespace):
-    from .bench import compare_bench, format_bench, run_bench, write_bench
-
-    if args.compare:
-        baseline_path, current_path = args.compare
-        with open(baseline_path, encoding="utf-8") as handle:
-            baseline = json.load(handle)
-        with open(current_path, encoding="utf-8") as handle:
-            current = json.load(handle)
-        text, regressions = compare_bench(
-            baseline, current, threshold=args.compare_threshold
-        )
-        return text, (1 if regressions else 0)
-
-    payload = run_bench(
-        smoke=args.smoke,
-        seed=args.seed,
-        label=args.label,
-        include_parallel=not args.no_parallel,
-        executor=args.executor,
-    )
-    output = args.output or f"BENCH_{args.label}.json"
-    text = format_bench(payload)
-    if output != "-":
-        write_bench(payload, output)
-        text += f"\nwrote {output}"
-    return text
-
-
 def _command_golden(args: argparse.Namespace):
     from .experiments.golden import (
         check_golden_report,
@@ -621,7 +561,6 @@ _COMMANDS = {
     "lint": _command_lint,
     "plugins": _command_plugins,
     "serve": _command_serve,
-    "bench": _command_bench,
     "golden": _command_golden,
 }
 
@@ -630,7 +569,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     """Entry point; returns a process exit code.
 
     Handlers return either the text to print or a ``(text, exit_code)``
-    pair (used by ``bench --compare`` to signal regressions).
+    pair (used by ``golden --check`` to signal a diff and by ``lint`` to
+    signal findings or a usage error).
     """
     parser = build_parser()
     args = parser.parse_args(argv)

@@ -13,7 +13,7 @@ bound with equality when throughput estimates are exact.
 
 This module computes the lower bound, the exact worst-case completion time
 of an arbitrary strategy (by enumerating or sampling straggler patterns),
-and an optimality-gap report used by the ablation benchmark.
+and an optimality-gap report used by the Theorem 5 ablation.
 """
 
 from __future__ import annotations

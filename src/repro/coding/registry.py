@@ -1,6 +1,6 @@
 """Scheme registry: build any coding strategy by name.
 
-The experiment harness, the benchmarks and the examples all select schemes
+The experiment harness, the tests and the examples all select schemes
 by a short string (``"naive"``, ``"cyclic"``, ``"fractional"``,
 ``"heter_aware"``, ``"group_based"``).  The mapping lives in the shared
 plugin registry (:data:`repro.api.registry.SCHEMES`); this module registers

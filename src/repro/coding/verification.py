@@ -15,7 +15,7 @@ span of the corresponding rows of ``B`` (Condition 1).  This module provides:
 from __future__ import annotations
 
 import itertools
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np

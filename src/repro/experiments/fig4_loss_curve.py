@@ -82,7 +82,7 @@ def run_fig4(
 
     The default cluster is the paper's Cluster-C (32 workers); pass
     ``cluster_name="Cluster-A"`` and a smaller ``num_samples`` for a quick
-    run (the benchmarks do).
+    run (the shape tests do).
     """
     engine = Engine()
     base = RunSpec(

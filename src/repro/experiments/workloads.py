@@ -7,7 +7,7 @@ DESIGN.md §2) but keeps the pairing:
 * ``cifar10_mlp`` — CIFAR-like 32x32x3 images, MLP classifier (the light
   workload; AlexNet stand-in);
 * ``cifar10_softmax`` — same data, softmax classifier (fast variant used by
-  tests and benchmarks);
+  tests);
 * ``imagenet_cnn`` — ImageNet-like larger images and class count, small CNN
   (the heavy workload; ResNet stand-in).
 

@@ -58,7 +58,7 @@ def force_generic_kernels() -> Iterator[None]:
     Inside the block every builtin ``batch_loss_and_gradient`` /
     ``multi_loss_and_gradient`` override falls back to the base-class
     per-slice / per-pair loop — the reference the stacked kernels are
-    property-tested (and benchmarked) against.
+    property-tested against.
     """
     global _FORCE_GENERIC_KERNELS
     previous = _FORCE_GENERIC_KERNELS

@@ -2,7 +2,7 @@
 
 Experiments print their results as aligned text tables (one per paper
 figure) and can also emit CSV for external plotting.  No plotting library is
-used — the benchmark harness compares *numbers and orderings*, not pixels.
+used — the shape tests compare *numbers and orderings*, not pixels.
 """
 
 from __future__ import annotations

@@ -80,11 +80,12 @@ class _ReplayClock:
 
     :meth:`SSPProtocol._run_batched` adds the time spent inside
     :meth:`SSPProtocol._block_gradients` (whichever implementation is
-    active — the version-grouped stacked path or the per-pair reference)
-    so benchmarks can compare the two kernels head-to-head on real
-    schedules, separate from the engine costs both share (the sequential
-    optimiser walk, batch resolution, loss evaluation).  Reset ``seconds``
-    to zero before a measured region and read it afterwards.
+    active — the version-grouped stacked path or the per-pair reference),
+    separate from the engine costs both share (the sequential optimiser
+    walk, batch resolution, loss evaluation).  Its one reader is the
+    paper-workload benchmark: ``bench/run.py`` reports it per pass as
+    ``protocols.ssp.replay_s``.  Reset ``seconds`` to zero before a
+    measured region and read it afterwards.
     """
 
     __slots__ = ("seconds",)
@@ -797,8 +798,8 @@ class SSPProtocol(TrainingProtocol):
         ``multi_loss_and_gradient`` calls per block), large models the
         **version-grouped** path below.  ``force_generic_kernels`` also
         routes through the cube path, where it degrades to the per-pair
-        ``set_parameters``/``loss_and_gradient`` loop — the benchmark and
-        property-test baseline.
+        ``set_parameters``/``loss_and_gradient`` loop — the property-test
+        baseline.
 
         The grouped path buckets the block's updates by ``(snapshot
         version, batch shape)`` (mixed shapes only occur when shards divide
@@ -893,8 +894,8 @@ class SSPProtocol(TrainingProtocol):
         kernel calls); with :func:`force_generic_kernels` active the multi
         kernel degrades to the generic per-pair ``set_parameters`` /
         ``loss_and_gradient`` loop, which pins the *whole* replay to the
-        per-pair reference semantics — the benchmark and property-test
-        baseline.  The bench bit-identity gate asserts its results match
+        per-pair reference semantics — the property-test baseline.
+        ``TestReplayDispatchEquivalence`` asserts its results match
         :meth:`_block_gradients` exactly.
         """
         count = stop - start
@@ -1009,8 +1010,8 @@ class SSPProtocol(TrainingProtocol):
             block_end = block_start
             while block_end < num_events and version_list[block_end] <= block_start:
                 block_end += 1
-            # The replay clock is bench instrumentation: it never reaches
-            # results, traces or fingerprints.
+            # The replay clock feeds bench/run.py's protocols.ssp.replay_s;
+            # it never reaches results, traces or fingerprints.
             replay_start = time.perf_counter()  # repro-lint: disable=RNG002
             gradients, gradient_rows = self._block_gradients(
                 model,

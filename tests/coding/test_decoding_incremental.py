@@ -21,7 +21,6 @@ from repro.coding import (
     heterogeneity_aware_strategy,
     naive_strategy,
 )
-from repro.coding.registry import build_strategy, natural_partitions
 from repro.coding.types import CodingStrategy, DecodingError, PartitionAssignment
 
 
@@ -93,6 +92,18 @@ class TestIncrementalPrefixEquivalence:
                     assert np.array_equal(a.coefficients, b.coefficients)
                     assert a.workers_used == b.workers_used
                     assert a.used_group == b.used_group
+
+    def test_matches_reference_on_cluster_b_cyclic(self):
+        # Larger than the random grid: 16 workers, s=2, full permutations.
+        strategy = cyclic_strategy(16, 2, rng=0)
+        rng = np.random.default_rng(0)
+        orders = [rng.permutation(16).tolist() for _ in range(200)]
+        decoder = Decoder(strategy)
+        reference_decoder = Decoder(strategy)
+        for order in orders:
+            assert decoder.earliest_decodable_prefix(
+                order
+            ) == earliest_decodable_prefix_reference(reference_decoder, order)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_repeated_workers_in_order_are_harmless(self, seed):

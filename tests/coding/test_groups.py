@@ -3,11 +3,9 @@
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
 from repro.coding import (
     certify_robustness,
-    detect_groups,
     find_all_groups,
     group_based_strategy,
     heterogeneity_aware_allocation,

@@ -1,8 +1,8 @@
 """Shared pytest fixtures.
 
 Fixtures deliberately use small problem sizes (a handful of workers, tens of
-samples) so the whole suite stays fast; the scale-sensitive behaviour is
-covered by the benchmarks instead.
+samples) so the whole suite stays fast; the paper-shape assertions in
+``tests/experiments/test_figures.py`` run the figures at a larger scale.
 """
 
 from __future__ import annotations

@@ -160,6 +160,26 @@ class TestV1V2StatisticalEquivalence:
             compute1.mean(axis=0), rel=0.05
         )
 
+    @pytest.mark.parametrize("scheme", ["naive", "cyclic", "group_based"])
+    def test_matched_seed_means_agree_across_schemes(self, scheme):
+        cluster = build_cluster("Cluster-A", rng=0)
+        kwargs = dict(
+            num_stragglers=1, total_samples=2048, num_iterations=300, seed=0,
+        )
+        v1, v2 = (
+            measure_timing_trace(
+                scheme, cluster,
+                injector=fresh_injector("artificial_delay",
+                                        {"num_stragglers": 1, "delay_seconds": 1.0}),
+                rng_version=version, **kwargs,
+            )
+            for version in (1, 2)
+        )
+        assert v2.metadata["rng_version"] == 2
+        assert v2.mean_iteration_time() == pytest.approx(
+            v1.mean_iteration_time(), rel=0.15
+        )
+
     def test_v2_is_deterministic_and_differs_from_v1(self):
         cluster = build_cluster("Cluster-A", rng=0)
         kwargs = dict(

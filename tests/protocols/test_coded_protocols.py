@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from repro.coding import heterogeneity_aware_strategy
-from repro.learning.datasets import make_blobs
 from repro.learning.models import SoftmaxClassifier
 from repro.learning.optimizers import SGD
 from repro.learning.partition import partition_dataset

@@ -19,7 +19,7 @@ from repro._reference import (
 from repro.coding.registry import build_strategy, natural_partitions
 from repro.experiments.common import measure_timing_trace
 from repro.simulation.cluster import cluster_from_vcpu_counts, uniform_cluster
-from repro.simulation.network import SimpleNetwork, ZeroCommunication
+from repro.simulation.network import SimpleNetwork
 from repro.simulation.stragglers import (
     ArtificialDelay,
     FailStop,
