@@ -790,12 +790,19 @@ class Engine:
                     ).append(training_member)
                     continue
             remainder.append(index)
-        # Singleton groups gain nothing from stacking; route them through
-        # the fallback pool so `parallel` still helps ragged sweeps.
-        for key in [key for key, group in timing_groups.items() if len(group) < 2]:
-            remainder.extend(member.index for member in timing_groups.pop(key))
         for key in [key for key, group in training_groups.items() if len(group) < 2]:
             remainder.extend(member.index for member in training_groups.pop(key))
+        # A singleton timing group run in-process is a 1-run stack, which
+        # reuses the cluster and strategy its member already built.  When
+        # the fallback would go to a pool, singletons join it instead so
+        # `parallel` still helps ragged sweeps.
+        singletons = [key for key, group in timing_groups.items() if len(group) < 2]
+        if (
+            resolved.executor is not None
+            or resolved.worker_count(len(remainder) + len(singletons)) > 1
+        ):
+            for key in singletons:
+                remainder.extend(member.index for member in timing_groups.pop(key))
         remainder.sort()
         timing_chunks: list[list[_TimingStackMember]] = []
         for timing_group in timing_groups.values():
@@ -896,7 +903,10 @@ class Engine:
         kernel inputs (registry backends, ``rng_version=2``, explicit
         seeds) are executed as run-stacked groups — one 3-D kernel call (or
         one stacked SSP schedule scan) per group instead of one call per
-        run — and everything else falls back to :meth:`run_many`.  Stacking
+        run — and everything else falls back to :meth:`run_many`.  A
+        stackable timing spec with no stack partner runs as a 1-run stack
+        when the fallback would run in-process anyway, so its cluster and
+        strategy are built once.  Stacking
         never changes results: each run draws from its own seed's
         per-component streams, so every result is bit-identical to a
         standalone :meth:`run` of the same spec, stacked or not.

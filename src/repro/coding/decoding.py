@@ -42,6 +42,11 @@ __all__ = [
 #: Sentinel distinguishing "not cached" from a cached ``None`` (undecodable).
 _CACHE_MISS = object()
 
+#: Upper bound on the ``(rows, basis, k)`` float64 block that
+#: :meth:`Decoder.earliest_decodable_prefix_batched` steps at once; longer
+#: batches are processed in chunks so the working set stays bounded.
+_BASIS_CHUNK_BYTES = 1 << 20
+
 
 @dataclass(frozen=True)
 class DecodeResult:
@@ -101,6 +106,13 @@ class Decoder:
             self._group_sizes.append(len(members))
             for worker in members:
                 self._worker_groups.setdefault(worker, []).append(index)
+        # The batched search's form of the same bookkeeping: worker-by-group
+        # membership counts, subtracted from per-order remaining counters.
+        self._group_membership = np.zeros(
+            (strategy.num_workers, len(self._group_sizes)), dtype=np.int64
+        )
+        for worker, indices in self._worker_groups.items():
+            self._group_membership[worker, indices] = 1
 
     @property
     def strategy(self) -> CodingStrategy:
@@ -342,9 +354,166 @@ class Decoder:
                     return index
         return None
 
+    def earliest_decodable_prefix_batched(
+        self, orders: np.ndarray, counts: Sequence[int] | np.ndarray
+    ) -> list[tuple[int | None, DecodeResult | None]]:
+        """:meth:`earliest_decodable_prefix` for many completion orders at once.
+
+        Row ``i`` of the 2-D ``orders`` array is a completion order whose
+        first ``counts[i]`` entries are the finished workers; entries past
+        the count are ignored.  Returns one ``(prefix, result)`` pair per
+        row: the scalar search's prefix together with the decode result
+        ``decoding_vector(order[:prefix])`` returns for it, or
+        ``(None, None)`` when no prefix decodes.
+
+        Every row steps together, one worker position at a time, with the
+        scalar search's arithmetic: per-group completion counters, the
+        two-pass Gram-Schmidt extension of each row's partition-space basis
+        and its all-ones residual.  A row whose residual enters the
+        confirmation band is confirmed through the same set-keyed cache and
+        least-squares solve; a row the solve rejects keeps stepping.  Rows
+        are processed in chunks whose basis block is at most
+        ``_BASIS_CHUNK_BYTES``.
+
+        Unlike the scalar search, which stops reading at the decoding
+        prefix, every entry within a row's count is validated up front: an
+        out-of-range or repeated worker raises :class:`DecodingError`.
+        """
+        num_workers = self._strategy.num_workers
+        k = self._strategy.num_partitions
+        orders = np.asarray(orders, dtype=np.intp)
+        counts = np.asarray(counts, dtype=np.int64)
+        if orders.ndim != 2 or counts.shape != (orders.shape[0],):
+            raise DecodingError(
+                "expected a (rows, positions) order array and one count per "
+                f"row, got shapes {orders.shape} and {counts.shape}"
+            )
+        width = orders.shape[1]
+        if counts.size and (counts.min() < 0 or counts.max() > width):
+            raise DecodingError(f"counts must lie in [0, {width}]")
+        within = np.arange(width) < counts[:, None]
+        bad = within & ((orders < 0) | (orders >= num_workers))
+        if bad.any():
+            row, column = np.argwhere(bad)[0]
+            raise DecodingError(
+                f"finished worker index {orders[row, column]} out of range "
+                f"[0, {num_workers})"
+            )
+        finished = np.where(within, orders, -1)
+        ordered = np.sort(finished, axis=1)
+        repeats = (ordered[:, 1:] == ordered[:, :-1]) & (ordered[:, 1:] >= 0)
+        if repeats.any():
+            row = int(np.flatnonzero(repeats.any(axis=1))[0])
+            raise DecodingError(
+                f"completion order {finished[row, : counts[row]].tolist()} "
+                "repeats a worker"
+            )
+        chunk = max(1, _BASIS_CHUNK_BYTES // (8 * k * max(1, min(width, k))))
+        decisions: list[tuple[int | None, DecodeResult | None]] = []
+        for start in range(0, len(counts), chunk):
+            decisions += self._prefix_chunk(
+                finished[start : start + chunk], counts[start : start + chunk]
+            )
+        return decisions
+
     # ------------------------------------------------------------------
     # internal helpers
-    # ------------------------------------------------------------------
+    def _prefix_chunk(
+        self, orders: np.ndarray, counts: np.ndarray
+    ) -> list[tuple[int | None, DecodeResult | None]]:
+        """One chunk of :meth:`earliest_decodable_prefix_batched`.
+
+        The state arrays hold one slot per row.  Decided slots keep
+        stepping, masked out of every update, until at most half the slots
+        are live; only then is the state compacted to the live slots, so
+        the basis block is copied a logarithmic number of times, not once
+        per step.
+        """
+        matrix = self._strategy.matrix
+        k = self._strategy.num_partitions
+        band_sq = (self._tolerance * 1e3) ** 2
+        growth_floor_sq = (1e-12 * self._row_norm_floor) ** 2
+        membership = self._group_membership
+        grouped = membership.shape[1] > 0
+        cache = self._cache
+
+        decisions: list[tuple[int | None, DecodeResult | None]] = [
+            (None, None)
+        ] * len(counts)
+        slots = np.arange(len(counts))  # chunk row held by each slot
+        capacity = np.minimum(counts, k)  # the scalar search's basis rows
+        basis = np.zeros((len(counts), int(capacity.max(initial=0)), k))
+        num_basis = np.zeros(len(counts), dtype=np.intp)
+        top = 0  # largest num_basis over all slots
+        residual = np.ones((len(counts), k))
+        residual_sq = np.full(len(counts), float(k))
+        remaining = np.tile(
+            np.asarray(self._group_sizes, dtype=np.int64), (len(counts), 1)
+        )
+        live = counts > 0
+
+        for position in range(orders.shape[1]):
+            num_live = int(np.count_nonzero(live))
+            if not num_live:
+                break
+            if 2 * num_live <= len(live):
+                keep = np.flatnonzero(live)
+                slots, capacity, basis, num_basis = (
+                    slots[keep], capacity[keep], basis[keep], num_basis[keep]
+                )
+                residual, residual_sq, remaining = (
+                    residual[keep], residual_sq[keep], remaining[keep]
+                )
+                orders, counts, live = orders[keep], counts[keep], live[keep]
+                top = int(num_basis.max())
+            workers = np.where(live, orders[:, position], 0)
+            prefix = position + 1
+
+            # Group fast path: a completed verified group decodes at once;
+            # the lowest group index is the lowest strategy position.
+            if grouped:
+                remaining -= membership[workers]
+                complete = (remaining == 0) & live[:, None]
+                for slot in np.flatnonzero(complete.any(axis=1)).tolist():
+                    group = self._verified_groups[int(complete[slot].argmax())][2]
+                    key = frozenset(orders[slot, :prefix].tolist())
+                    if key not in cache:
+                        cache[key] = self._group_result(group)
+                    decisions[slots[slot]] = (prefix, cache[key])
+                    live[slot] = False
+
+            # General path: extend every live basis with its row, projected
+            # out twice, and shrink the all-ones residual along it.
+            vectors = matrix[workers]
+            if top:
+                active = basis[:, :top]
+                across = active.transpose(0, 2, 1)
+                vectors = vectors - (across @ (active @ vectors[:, :, None]))[:, :, 0]
+                vectors -= (across @ (active @ vectors[:, :, None]))[:, :, 0]
+            norm_sq = np.einsum("ij,ij->i", vectors, vectors)
+            grow = live & (num_basis < capacity) & (norm_sq > growth_floor_sq[workers])
+            vectors /= np.where(grow, np.sqrt(norm_sq), np.inf)[:, None]
+            grown = np.flatnonzero(grow)
+            if grown.size:
+                basis[grown, num_basis[grown]] = vectors[grown]
+                num_basis[grown] += 1
+                top = max(top, int(num_basis[grown].max()))
+                coefficient = np.einsum("ij,ij->i", vectors, residual)
+                residual -= coefficient[:, None] * vectors
+                residual_sq -= coefficient * coefficient
+
+            for slot in np.flatnonzero(live & (residual_sq <= band_sq)).tolist():
+                key = frozenset(orders[slot, :prefix].tolist())
+                result = cache.get(key, _CACHE_MISS)
+                if result is _CACHE_MISS:
+                    result = self._general_decode(key)
+                    cache[key] = result
+                if result is not None:
+                    decisions[slots[slot]] = (prefix, result)
+                    live[slot] = False
+            live &= counts > prefix
+        return decisions
+
     def _group_decode(self, finished: frozenset[int]) -> DecodeResult | None:
         for _, members, sorted_group in self._verified_groups:
             if members <= finished:
@@ -370,9 +539,8 @@ class Decoder:
             return None
         coefficients = np.zeros(self._strategy.num_workers)
         coefficients[workers] = solution
-        used = tuple(
-            w for w in workers if abs(coefficients[w]) > 10 * np.finfo(float).eps
-        )
+        carries_weight = np.abs(solution) > 10 * np.finfo(float).eps
+        used = tuple(np.asarray(workers)[carries_weight].tolist())
         if not used:
             # Degenerate but possible when k-dimensional all-ones happens to
             # be the zero vector combination; treat as undecodable.

@@ -22,7 +22,9 @@ web framework, no new dependencies, the same code path as the library:
 ``GET /health``
     Liveness plus store statistics.
 
-Requests and responses are JSON; results use the exact
+Request bodies are capped at :data:`MAX_BODY_BYTES` (413 beyond it); a
+missing, non-integer or negative ``Content-Length`` is a 400.  Requests and
+responses are JSON; results use the exact
 :meth:`RunResult.to_dict <repro.api.result.RunResult.to_dict>` layout, so
 ``RunResult.from_dict`` on the client side round-trips them
 (:mod:`repro.api.client` wraps exactly that).
@@ -40,11 +42,30 @@ from .api.result import json_default
 from .api.spec import RunSpec, SpecError
 from .store import RunStore, open_store
 
-__all__ = ["ServiceError", "SweepService", "make_server", "serve"]
+__all__ = [
+    "MAX_BODY_BYTES",
+    "RequestTooLargeError",
+    "ServiceError",
+    "SweepService",
+    "make_server",
+    "serve",
+]
+
+#: Largest request body the server reads.  A spec plus its sweep axes is a
+#: few kilobytes; anything near this is a client error, not a workload.
+MAX_BODY_BYTES = 16 * 1024 * 1024
 
 
 class ServiceError(ValueError):
     """A client-visible request error (maps to HTTP 400)."""
+
+    status = 400
+
+
+class RequestTooLargeError(ServiceError):
+    """A request body longer than :data:`MAX_BODY_BYTES` (maps to HTTP 413)."""
+
+    status = 413
 
 
 class SweepService:
@@ -158,7 +179,21 @@ class _Handler(BaseHTTPRequestHandler):
         self.wfile.write(body)
 
     def _read_json(self) -> Any:
-        length = int(self.headers.get("Content-Length", 0))
+        header = self.headers.get("Content-Length", "0")
+        try:
+            length = int(header)
+        except ValueError:
+            length = -1
+        if length < 0 or length > MAX_BODY_BYTES:
+            # The body stays unread, so this connection cannot carry
+            # another request.
+            self.close_connection = True
+            if length < 0:
+                raise ServiceError(f"invalid Content-Length {header!r}")
+            raise RequestTooLargeError(
+                f"request body of {length} bytes exceeds the "
+                f"{MAX_BODY_BYTES}-byte limit"
+            )
         raw = self.rfile.read(length) if length else b""
         if not raw:
             raise ServiceError("empty request body")
@@ -180,7 +215,7 @@ class _Handler(BaseHTTPRequestHandler):
             else:
                 self._reply(404, {"error": f"unknown endpoint {self.path!r}"})
         except ServiceError as exc:
-            self._reply(400, {"error": str(exc)})
+            self._reply(exc.status, {"error": str(exc)})
         except Exception as exc:  # noqa: BLE001 - last-resort 500, never a hang
             self._reply(500, {"error": f"{type(exc).__name__}: {exc}"})
 

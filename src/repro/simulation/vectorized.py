@@ -6,9 +6,13 @@ it revalidates its inputs, rebuilds the workload vector, re-queries the
 network model and materialises per-worker :class:`WorkerTiming` objects every
 step.  :class:`TimingTraceKernel` hoists everything that is constant across
 iterations (base compute times, jitter mask, communication times, the
-decoder) out of the loop, draws the per-iteration randomness in single
-batched calls, and memoises the decodable-prefix decision per completion
-*order* — the quantity it actually depends on.
+decoder) out of the loop and draws the per-iteration randomness in single
+batched calls.  The decodable-prefix decision depends only on the completion
+*order*, so it is memoised per order; every entry point orders the whole
+trace (or stack) with one argsort and decides all orders the memo has not
+seen in one :meth:`~repro.coding.decoding.Decoder
+.earliest_decodable_prefix_batched` call, which steps them together one
+worker position at a time.
 
 Two RNG stream layouts are supported:
 
@@ -33,7 +37,6 @@ with it the memoised decode-order decisions — across sweep points.
 from __future__ import annotations
 
 import hashlib
-import math
 import threading
 from collections import OrderedDict
 from collections.abc import Sequence
@@ -304,6 +307,81 @@ class TimingTraceKernel:
         return self._base_compute * jitter
 
     # ------------------------------------------------------------------
+    def _decide(
+        self, completion: np.ndarray
+    ) -> tuple[
+        np.ndarray,
+        tuple[tuple[int, ...], ...],
+        tuple[tuple[int, ...] | None, ...],
+    ]:
+        """Decode decision for every row of ``(n, m)`` completion times.
+
+        Returns the durations (``inf`` where undecodable) and each row's
+        workers used and group used.  A decision depends only on the row's
+        completion order: the stable argsort cut at the finite count, since
+        non-finite times sort last.  Each distinct order is decided once,
+        from ``self._order_cache`` when it was seen before, else by one
+        :meth:`~repro.coding.decoding.Decoder
+        .earliest_decodable_prefix_batched` call over all the misses.
+        """
+        num_rows, m = completion.shape
+        orders = completion.argsort(axis=1, kind="stable")
+        counts = np.isfinite(completion).sum(axis=1)
+        # Small clusters pack each (order, count) row into one integer, so
+        # the distinct rows fall out of one 1-D np.unique: jittered sweeps
+        # revisit a handful of orders tens of thousands of times.  Larger
+        # clusters are deduplicated by cache key below.
+        field_bits = max(m.bit_length(), 1)
+        if (m + 1) * field_bits <= 64:
+            shifts = np.arange(m, dtype=np.uint64) * np.uint64(field_bits)
+            packed = (orders.astype(np.uint64) << shifts).sum(
+                axis=1, dtype=np.uint64
+            )
+            packed |= counts.astype(np.uint64) << np.uint64(m * field_bits)
+            _, distinct, inverse = np.unique(
+                packed, return_index=True, return_inverse=True
+            )
+            inverse = np.asarray(inverse).ravel()
+        else:
+            distinct = inverse = np.arange(num_rows)
+        order_cache = self._order_cache
+        counts_list = counts.tolist()
+        decisions: list[tuple[int | None, DecodeResult | None]] = []
+        misses: dict[bytes, list[int]] = {}  # key -> positions in decisions
+        miss_rows: list[int] = []
+        for position, row in enumerate(distinct.tolist()):
+            key = orders[row, : counts_list[row]].tobytes()
+            hit = order_cache.get(key)
+            decisions.append((None, None) if hit is None else hit)
+            if hit is None:
+                waiting = misses.setdefault(key, [])
+                if not waiting:
+                    miss_rows.append(row)
+                waiting.append(position)
+        if miss_rows:
+            decided = self.decoder.earliest_decodable_prefix_batched(
+                orders[miss_rows], counts[miss_rows]
+            )
+            for (key, positions), hit in zip(misses.items(), decided, strict=True):
+                if len(order_cache) < self.order_cache_limit:
+                    order_cache[key] = hit
+                for position in positions:
+                    decisions[position] = hit
+        results = [decisions[position][1] for position in inverse.tolist()]
+        prefixes = np.array([prefix or 0 for prefix, _ in decisions], dtype=np.intp)
+        prefixes = prefixes[inverse]
+        durations = np.full(num_rows, np.inf)
+        decodable = np.flatnonzero(prefixes)
+        durations[decodable] = completion[
+            decodable, orders[decodable, prefixes[decodable] - 1]
+        ]
+        return (
+            durations,
+            tuple(() if result is None else result.workers_used for result in results),
+            tuple(None if result is None else result.used_group for result in results),
+        )
+
+    # ------------------------------------------------------------------
     def run(
         self,
         num_iterations: int,
@@ -330,13 +408,8 @@ class TimingTraceKernel:
         m = self.num_workers
         compute_times = np.empty((num_iterations, m))
         completion_times = np.empty((num_iterations, m))
-        durations = np.empty(num_iterations)
-        workers_used: list[tuple[int, ...]] = []
-        used_groups: list[tuple[int, ...] | None] = []
         injector_delays = (injector or self.injector).delays
         comm = self._comm
-        order_cache = self._order_cache
-        infinity = float("inf")
         base = self._base_compute
         uniform_sigma = self._uniform_sigma if self._all_jitter else None
         lognormal = generator.lognormal
@@ -357,39 +430,15 @@ class TimingTraceKernel:
             completion = completion_times[step]
             np.add(compute, delays, out=completion)
             completion += comm
-            order = completion.argsort(kind="stable")
-            # Non-finite times sort last under a stable argsort, so one look
-            # at the final element decides whether any trimming is needed.
-            if not math.isfinite(completion[order[-1]]):
-                order = order[: int(np.isfinite(completion).sum())]
-            key = order.tobytes()
-            hit = order_cache.get(key)
-            if hit is None:
-                order_list = order.tolist()
-                prefix = self.decoder.earliest_decodable_prefix(order_list)
-                result = (
-                    None
-                    if prefix is None
-                    else self.decoder.decoding_vector(order_list[:prefix])
-                )
-                hit = (prefix, result)
-                if len(order_cache) < self.order_cache_limit:
-                    order_cache[key] = hit
-            prefix, result = hit
-            if prefix is None or result is None:
-                durations[step] = infinity
-                workers_used.append(())
-                used_groups.append(None)
-            else:
-                durations[step] = completion[order[prefix - 1]]
-                workers_used.append(result.workers_used)
-                used_groups.append(result.used_group)
+        # Decode decisions never feed the generator, so the whole trace is
+        # decided after the draws, in one batched call.
+        durations, workers_used, used_groups = self._decide(completion_times)
         return TimingTraceArrays(
             durations=durations,
             compute_times=compute_times,
             completion_times=completion_times,
-            workers_used=tuple(workers_used),
-            used_groups=tuple(used_groups),
+            workers_used=workers_used,
+            used_groups=used_groups,
         )
 
     # ------------------------------------------------------------------
@@ -411,8 +460,10 @@ class TimingTraceKernel:
         every per-message transfer time from ``network_rng`` in one batched
         :meth:`~repro.simulation.network.CommunicationModel
         .sample_transfer_times` call (deterministic models consume nothing
-        from it).  Only the decode-order bookkeeping (dict lookups on the
-        shared order cache) remains per-iteration Python.
+        from it).  One argsort orders every iteration, and the orders the
+        shared order cache has not seen are decided together by one
+        :meth:`~repro.coding.decoding.Decoder
+        .earliest_decodable_prefix_batched` call.
 
         Same-distribution, different-stream relative to :meth:`run`; the
         decode decisions are pure functions of the completion order, so the
@@ -448,47 +499,13 @@ class TimingTraceKernel:
             completion_times += np.where(self._loaded_mask, comm, 0.0)
         else:
             completion_times += self._comm
-        # Batched order computation: one argsort call and one finite count
-        # for the whole trace, leaving only cache lookups in the loop.
-        orders = completion_times.argsort(axis=1, kind="stable")
-        finite_counts = np.isfinite(completion_times).sum(axis=1)
-        durations = np.empty(num_iterations)
-        workers_used: list[tuple[int, ...]] = []
-        used_groups: list[tuple[int, ...] | None] = []
-        order_cache = self._order_cache
-        infinity = float("inf")
-        for step in range(num_iterations):
-            order = orders[step]
-            if finite_counts[step] < m:
-                order = order[: finite_counts[step]]
-            key = order.tobytes()
-            hit = order_cache.get(key)
-            if hit is None:
-                order_list = order.tolist()
-                prefix = self.decoder.earliest_decodable_prefix(order_list)
-                result = (
-                    None
-                    if prefix is None
-                    else self.decoder.decoding_vector(order_list[:prefix])
-                )
-                hit = (prefix, result)
-                if len(order_cache) < self.order_cache_limit:
-                    order_cache[key] = hit
-            prefix, result = hit
-            if prefix is None or result is None:
-                durations[step] = infinity
-                workers_used.append(())
-                used_groups.append(None)
-            else:
-                durations[step] = completion_times[step, order[prefix - 1]]
-                workers_used.append(result.workers_used)
-                used_groups.append(result.used_group)
+        durations, workers_used, used_groups = self._decide(completion_times)
         return TimingTraceArrays(
             durations=durations,
             compute_times=compute_times,
             completion_times=completion_times,
-            workers_used=tuple(workers_used),
-            used_groups=tuple(used_groups),
+            workers_used=workers_used,
+            used_groups=used_groups,
         )
 
     # ------------------------------------------------------------------
@@ -508,12 +525,11 @@ class TimingTraceKernel:
         * rng-free draw components (deterministic comm, fixed-worker or
           zero-delay injectors) fill the whole ``(runs, n, m)`` stack in one
           numpy call; rng-consuming components draw once per *run* (already
-          batched over iterations since PR 3);
+          batched over iterations);
         * one ``argsort``/``isfinite`` call over all ``runs * n`` iterations;
         * decode decisions are deduplicated across the *whole stack*
-          through ``self._order_cache`` — every distinct completion order
-          is decoded once and shared by all runs, instead of each run
-          paying its own cold-cache decodes.
+          through ``self._order_cache``, and every distinct order it has not
+          seen is decided in one batched prefix search shared by all runs.
         """
         if num_iterations <= 0:
             raise TimingError("num_iterations must be positive")
@@ -542,72 +558,9 @@ class TimingTraceKernel:
         # float is produced by the identical sequence of additions.
         completion = compute + delays
         completion += comm
-        flat = completion.reshape(num_runs * num_iterations, m)
-        orders = flat.argsort(axis=1, kind="stable")
-        finite_counts = np.isfinite(flat).sum(axis=1)
-        total_steps = num_runs * num_iterations
-        # Decode each distinct order once for the whole stack via the same
-        # ``self._order_cache`` run_batched uses: full-order bytes when all
-        # workers are finite, truncated otherwise (the stable argsort parks
-        # the non-finite workers at the tail, so the truncated order is a
-        # pure function of the full order plus the count).  Small clusters
-        # pack every (order, count) row into one integer so the distinct
-        # orders fall out of a single 1-D ``np.unique`` — jittered sweeps
-        # revisit a handful of orders tens of thousands of times, and this
-        # replaces the per-step dict probes with one vectorized pass.
-        order_cache = self._order_cache
-        field_bits = max(m.bit_length(), 1)
-        if (m + 1) * field_bits <= 64:
-            shifts = np.arange(m, dtype=np.uint64) * np.uint64(field_bits)
-            packed = (orders.astype(np.uint64) << shifts).sum(
-                axis=1, dtype=np.uint64
-            )
-            packed |= finite_counts.astype(np.uint64) << np.uint64(m * field_bits)
-            _, rep_steps, inverse = np.unique(
-                packed, return_index=True, return_inverse=True
-            )
-            inverse = np.asarray(inverse).ravel()
-            unique_steps = rep_steps.tolist()
-        else:
-            inverse = np.arange(total_steps)
-            unique_steps = list(range(total_steps))
-        counts_list = finite_counts.tolist()
-        prefix_by_unique = np.empty(len(unique_steps), dtype=np.int64)
-        workers_by_unique: list[tuple[int, ...]] = []
-        groups_by_unique: list[tuple[int, ...] | None] = []
-        for position, step in enumerate(unique_steps):
-            count = counts_list[step]
-            key = orders[step, :count].tobytes()
-            hit = order_cache.get(key)
-            if hit is None:
-                order_list = orders[step, :count].tolist()
-                prefix = self.decoder.earliest_decodable_prefix(order_list)
-                result = (
-                    None
-                    if prefix is None
-                    else self.decoder.decoding_vector(order_list[:prefix])
-                )
-                hit = (prefix, result)
-                if len(order_cache) < self.order_cache_limit:
-                    order_cache[key] = hit
-            prefix, result = hit
-            if prefix is None or result is None:
-                prefix_by_unique[position] = 0
-                workers_by_unique.append(())
-                groups_by_unique.append(None)
-            else:
-                prefix_by_unique[position] = prefix
-                workers_by_unique.append(result.workers_used)
-                groups_by_unique.append(result.used_group)
-        inverse_list = inverse.tolist()
-        step_prefix = prefix_by_unique[inverse]
-        workers_used = [workers_by_unique[u] for u in inverse_list]
-        used_groups = [groups_by_unique[u] for u in inverse_list]
-        durations = np.full(total_steps, np.inf)
-        decodable = np.flatnonzero(step_prefix > 0)
-        if decodable.size:
-            winners = orders[decodable, step_prefix[decodable] - 1]
-            durations[decodable] = flat[decodable, winners]
+        durations, workers_used, used_groups = self._decide(
+            completion.reshape(num_runs * num_iterations, m)
+        )
         durations = durations.reshape(num_runs, num_iterations)
         out: list[TimingTraceArrays] = []
         for index in range(num_runs):
@@ -618,8 +571,8 @@ class TimingTraceKernel:
                     durations=durations[index],
                     compute_times=compute[index],
                     completion_times=completion[index],
-                    workers_used=tuple(workers_used[lo:hi]),
-                    used_groups=tuple(used_groups[lo:hi]),
+                    workers_used=workers_used[lo:hi],
+                    used_groups=used_groups[lo:hi],
                 )
             )
         return out

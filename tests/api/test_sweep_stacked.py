@@ -14,6 +14,8 @@ import json
 
 import pytest
 
+import repro.api.engine as engine_module
+import repro.experiments.common as common_module
 from repro.api import Engine, RunSpec
 from repro.api.engine import EngineError
 from repro.api.spec import NetworkSpec, StragglerSpec
@@ -193,3 +195,79 @@ class TestSweepValidation:
         base = RunSpec(num_iterations=4, total_samples=512, seed=0)
         with pytest.raises(EngineError, match="'scheme'"):
             engine.sweep(base, scheme=[], seed=[0, 1])
+
+
+class TestSingletonTimingGroups:
+    """A timing spec with no stack partner is a 1-run stack in-process."""
+
+    @pytest.fixture()
+    def strategy_builds(self, monkeypatch):
+        calls = []
+        build = engine_module.build_strategy
+
+        def counting(*args, **kwargs):
+            calls.append(args[0])
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(engine_module, "build_strategy", counting)
+        monkeypatch.setattr(common_module, "build_strategy", counting)
+        return calls
+
+    @staticmethod
+    def ragged_base() -> RunSpec:
+        # Seed-dependent clusters: heter_aware/group_based strategies differ
+        # per seed, so those specs have no stack partner.
+        return RunSpec(
+            num_iterations=20,
+            total_samples=1024,
+            num_stragglers=1,
+            straggler=StragglerSpec(
+                "transient", {"probability": 0.2, "mean_delay_seconds": 1.0}
+            ),
+            rng_version=2,
+            seed=0,
+        )
+
+    def test_each_strategy_is_built_once(self, engine, strategy_builds):
+        base = self.ragged_base()
+        swept = engine.sweep(
+            base, cluster=["Cluster-A", "Cluster-B"], scheme=["cyclic", "heter_aware"]
+        )
+        assert len(strategy_builds) == 4
+        strategy_builds.clear()
+        reference = [engine.run(result.spec) for result in swept]
+        assert len(strategy_builds) == 4
+        assert [r.to_json() for r in swept] == [r.to_json() for r in reference]
+
+    def test_ragged_seed_sweep_matches_per_spec_runs(self, engine, strategy_builds):
+        base = self.ragged_base()
+        swept = engine.sweep(
+            base, scheme=["naive", "heter_aware", "group_based"], seed=[0, 1, 2]
+        )
+        assert len(strategy_builds) == 9
+        assert [r.to_json() for r in swept] == [
+            engine.run(result.spec).to_json() for result in swept
+        ]
+
+    def test_explicit_executor_keeps_fallback_routing(self, engine, monkeypatch):
+        stacked_sizes = []
+        run_stack = Engine._run_timing_stack
+
+        def recording(self, members):
+            stacked_sizes.append(len(members))
+            return run_stack(self, members)
+
+        monkeypatch.setattr(Engine, "_run_timing_stack", recording)
+        base = self.ragged_base()
+        axes = {
+            "cluster": ["Cluster-A", "Cluster-B"],
+            "scheme": ["cyclic", "heter_aware"],
+        }
+        serial = engine.sweep(base, **axes)
+        assert stacked_sizes == [1, 1, 1, 1]
+        stacked_sizes.clear()
+        routed = engine.sweep(base, executor="serial", **axes)
+        assert stacked_sizes == []
+        pooled = engine.sweep(base, parallel=2, **axes)
+        assert stacked_sizes == []
+        assert results_json(routed) == results_json(serial) == results_json(pooled)

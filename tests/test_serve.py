@@ -10,14 +10,22 @@ answered entirely from the store with JSON-identical results.
 
 from __future__ import annotations
 
+import http.client
 import json
 import threading
+from urllib.parse import urlsplit
 
 import pytest
 
 from repro.api import RunSpec, json_default
 from repro.api.client import ClientError, ServiceClient
-from repro.serve import ServiceError, SweepService, make_server
+from repro.serve import (
+    MAX_BODY_BYTES,
+    RequestTooLargeError,
+    ServiceError,
+    SweepService,
+    make_server,
+)
 from repro.store import FileRunStore
 
 
@@ -159,3 +167,52 @@ class TestHTTP:
     def test_empty_body_maps_to_http_400(self, server):
         with pytest.raises(ClientError, match="HTTP 400"):
             server._request("POST", "/run", payload=None)
+
+
+def post_with_length(client: ServiceClient, content_length: str, body: bytes = b""):
+    """POST /run with a hand-written Content-Length; (status, JSON reply)."""
+    address = urlsplit(client.base_url)
+    connection = http.client.HTTPConnection(address.hostname, address.port, timeout=5)
+    try:
+        connection.putrequest("POST", "/run")
+        connection.putheader("Content-Type", "application/json")
+        connection.putheader("Content-Length", content_length)
+        connection.endheaders()
+        if body:
+            connection.send(body)
+        response = connection.getresponse()
+        return response.status, json.loads(response.read())
+    finally:
+        connection.close()
+
+
+class TestRequestBody:
+    def test_too_large_is_a_named_service_error(self):
+        assert issubclass(RequestTooLargeError, ServiceError)
+        assert (ServiceError.status, RequestTooLargeError.status) == (400, 413)
+
+    @pytest.mark.parametrize("header", ["abc", "1.5", ""])
+    def test_non_integer_content_length_maps_to_http_400(self, server, header):
+        status, reply = post_with_length(server, header)
+        assert status == 400
+        assert "Content-Length" in reply["error"]
+
+    def test_negative_content_length_maps_to_http_400(self, server):
+        # Read as rfile.read(-1), this would wait for the client to hang up.
+        status, reply = post_with_length(server, "-1", b'{"spec": {}}')
+        assert status == 400
+        assert "Content-Length" in reply["error"]
+        assert server.health()["status"] == "ok"
+
+    def test_body_over_the_cap_maps_to_http_413(self, server):
+        # The server refuses before reading, so no body needs to be sent.
+        status, reply = post_with_length(server, str(MAX_BODY_BYTES + 1))
+        assert status == 413
+        assert str(MAX_BODY_BYTES) in reply["error"]
+        assert server.health()["status"] == "ok"
+
+    def test_body_within_the_cap_is_read(self, server, spec):
+        body = json.dumps({"spec": spec.to_dict()}).encode()
+        status, reply = post_with_length(server, str(len(body) + 10), body + b" " * 10)
+        assert status == 200
+        assert reply["fingerprint"] == spec.fingerprint()
