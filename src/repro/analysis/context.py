@@ -45,7 +45,7 @@ def collect_identifiers(tree: ast.AST) -> frozenset[str]:
     Includes names, attribute names, function/class definition names and
     import targets — the union KER001 greps for kernel/scalar mentions in
     test files, so an identifier counts however the test spells the access
-    (``kernel.run_batched``, ``from x import run_batched``, ...).
+    (``kernel.run_stacked``, ``from x import run_stacked``, ...).
     """
     names: set[str] = set()
     for node in ast.walk(tree):

@@ -21,12 +21,9 @@ from __future__ import annotations
 import functools
 import itertools
 import os
-import warnings
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from typing import Any
-
-import numpy as np
 
 from .._registry import (
     ARRAY_BACKENDS,
@@ -37,10 +34,8 @@ from .._registry import (
     WORKLOADS,
     register_backend,
 )
-from ..coding.registry import build_strategy, natural_partitions
-from ..coding.types import CodingStrategy
 from ..experiments.clusters import build_cluster
-from ..experiments.common import SampleCountDriftWarning, measure_timing_trace
+from ..experiments.common import _timing_setup, _TimingSetup, measure_timing_trace
 from ..experiments.workloads import get_workload
 from ..learning.models.base import Model
 from ..learning.optimizers import SGD
@@ -179,20 +174,18 @@ class ExecutionPolicy:
 class _TimingStackMember:
     """One sweep spec prepared for run-stacked timing execution.
 
-    Everything :func:`~repro.experiments.common.measure_timing_trace` would
-    derive from the spec is pre-computed here, so stacked execution observes
-    exactly the per-run state the fallback path would have built.
+    ``setup`` is what :func:`~repro.experiments.common.measure_timing_trace`
+    derives from the spec, built by the same helper, so stacked execution
+    observes exactly the per-run state the fallback path would have built.
+    The member owns its injector, as a standalone run does.
     """
 
     index: int
     spec: RunSpec
     cluster: ClusterSpec
-    strategy: CodingStrategy
+    injector: StragglerInjector
     network: CommunicationModel
-    samples_per_partition: int
-    total_samples: int
-    effective_total_samples: int
-    metadata: dict[str, Any]
+    setup: _TimingSetup
     group_key: tuple[Any, ...]
 
 
@@ -536,8 +529,7 @@ class Engine:
         """Per-sweep cluster cache; same spec inputs return the same object.
 
         Cluster construction is deterministic in (name, options, rng), so
-        sharing instances changes nothing — but identical *objects* let the
-        stacked kernels take their one-broadcast fast paths.
+        sharing instances changes nothing but the build count.
         """
         options = dict(spec.cluster_options)
         options.setdefault("rng", spec.seed)
@@ -554,49 +546,34 @@ class Engine:
         spec: RunSpec,
         cluster_cache: dict[tuple[Any, ...], ClusterSpec],
     ) -> _TimingStackMember | None:
-        """Mirror ``measure_timing_trace``'s per-run derivations, or ``None``
+        """Build the spec's ``measure_timing_trace`` set-up, or ``None``
         when the spec must take the fallback path (bad sample counts raise
         there with the historical message)."""
         total_samples = spec.resolved_total_samples()
         if total_samples is None or total_samples <= 0:
             return None
         cluster = self._sweep_cluster(spec, cluster_cache)
-        k = spec.num_partitions or natural_partitions(
-            spec.scheme, cluster.num_workers, spec.partitions_multiplier
-        )
-        samples_per_partition = max(1, total_samples // k)
-        effective_total_samples = samples_per_partition * k
-        construction_rng = np.random.default_rng(spec.seed)
         injector = build_injector(spec.straggler)
         network = build_network(spec.network)
-        strategy = build_strategy(
+        setup = _timing_setup(
             spec.scheme,
-            throughputs=cluster.estimated_throughputs,
-            num_partitions=k,
-            num_stragglers=spec.num_stragglers,
-            rng=construction_rng,
+            cluster,
+            spec.num_stragglers,
+            total_samples,
+            spec.partitions_multiplier,
+            spec.num_partitions,
+            injector,
+            network,
+            spec.seed,
+            spec.rng_version,
         )
-        metadata: dict[str, Any] = {
-            "mode": "timing_only",
-            "num_workers": cluster.num_workers,
-            "num_partitions": k,
-            "num_stragglers": spec.num_stragglers,
-            "total_samples": total_samples,
-            "effective_total_samples": effective_total_samples,
-            "samples_per_partition": samples_per_partition,
-            "loads": list(strategy.loads),
-            "num_groups": len(strategy.groups),
-            "injector": injector.describe(),
-            "network": network.describe(),
-            "rng_version": spec.rng_version,
-        }
         # Two runs stack iff their decode structure and kernel inputs agree;
         # the cluster may differ per run (decode decisions depend only on
         # the strategy), so it is deliberately absent from the key.
         group_key = (
             "timing",
-            strategy_fingerprint(strategy),
-            samples_per_partition,
+            strategy_fingerprint(setup.strategy),
+            setup.samples_per_partition,
             network.fingerprint(spec.gradient_bytes),
             float(spec.gradient_bytes),
             spec.num_iterations,
@@ -606,12 +583,9 @@ class Engine:
             index=index,
             spec=spec,
             cluster=cluster,
-            strategy=strategy,
+            injector=injector,
             network=network,
-            samples_per_partition=samples_per_partition,
-            total_samples=total_samples,
-            effective_total_samples=effective_total_samples,
-            metadata=metadata,
+            setup=setup,
             group_key=group_key,
         )
 
@@ -680,44 +654,22 @@ class Engine:
         """Execute one stackable timing group through the stacked kernel."""
         first = members[0]
         kernel = default_timing_kernel_cache().get_or_build(
-            first.strategy,
+            first.setup.strategy,
             first.cluster,
-            samples_per_partition=first.samples_per_partition,
+            samples_per_partition=first.setup.samples_per_partition,
             network=first.network,
             gradient_bytes=first.spec.gradient_bytes,
         )
-        injector_cache: dict[str, StragglerInjector] = {}
         runs: list[StackedRun] = []
         for member in members:
-            if member.effective_total_samples != member.total_samples:
-                warnings.warn(
-                    f"scheme {member.spec.scheme!r} with "
-                    f"k={member.metadata['num_partitions']} partitions "
-                    f"processes {member.effective_total_samples} samples per "
-                    f"iteration instead of the requested "
-                    f"{member.total_samples} (total_samples is rounded to a "
-                    "multiple of the partition count); pass a total "
-                    "divisible by k to compare schemes on identical sample "
-                    "counts",
-                    SampleCountDriftWarning,
-                    stacklevel=4,
-                )
-            # Stateless injectors are shared across runs with the same
-            # declarative spec (enabling the one-call stacked delay fill);
-            # stateful ones get a fresh instance per run, exactly like
-            # standalone execution.
-            injector_key = repr(member.spec.straggler.to_dict())
-            injector = injector_cache.get(injector_key)
-            if injector is None or not injector.stateless:
-                injector = build_injector(member.spec.straggler)
-                injector_cache[injector_key] = injector
+            member.setup.warn_if_drifted(stacklevel=4)
             streams = RngStreams.from_seed(member.spec.seed)
             runs.append(
                 StackedRun(
                     injector_rng=streams.injector,
                     jitter_rng=streams.jitter,
                     network_rng=streams.network,
-                    injector=injector,
+                    injector=member.injector,
                     cluster=member.cluster,
                 )
             )
@@ -728,7 +680,7 @@ class Engine:
                 scheme=member.spec.scheme,
                 cluster_name=member.cluster.name,
                 arrays=arrays,
-                metadata=member.metadata,
+                metadata=member.setup.metadata,
             )
             results.append(RunResult.from_trace(member.spec, trace))
         return results

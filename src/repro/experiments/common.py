@@ -25,21 +25,19 @@ Fairness conventions shared by both modes:
 from __future__ import annotations
 
 import warnings
+from dataclasses import dataclass
+from typing import Any
 
 import numpy as np
 
-from ..coding.decoding import Decoder
 from ..coding.registry import build_strategy, natural_partitions
+from ..coding.types import CodingStrategy
 from ..simulation.cluster import ClusterSpec
 from ..simulation.network import CommunicationModel, SimpleNetwork
 from ..simulation.rng import RNG_VERSIONS, RngStreams
 from ..simulation.stragglers import NoStragglers, StragglerInjector
 from ..simulation.trace import RunTrace
-from ..simulation.vectorized import (
-    TimingKernelCache,
-    TimingTraceKernel,
-    default_timing_kernel_cache,
-)
+from ..simulation.vectorized import StackedRun, default_timing_kernel_cache
 
 __all__ = [
     "measure_timing_trace",
@@ -79,6 +77,98 @@ def default_partitions(num_workers: int, multiplier: int = 2) -> int:
     return natural_partitions("heter_aware", num_workers, heter_multiplier=multiplier)
 
 
+@dataclass(frozen=True)
+class _TimingSetup:
+    """The per-run derivations of a timing-only run, before any draw.
+
+    Shared by :func:`measure_timing_trace` and the engine's stacked sweep
+    path, so a stacked member observes exactly the state a standalone run
+    builds.
+    """
+
+    scheme: str
+    strategy: CodingStrategy
+    samples_per_partition: int
+    effective_total_samples: int
+    metadata: dict[str, Any]
+
+    def warn_if_drifted(self, stacklevel: int) -> None:
+        """Emit :class:`SampleCountDriftWarning` when the total was rounded.
+
+        ``stacklevel`` counts from the caller, as for :func:`warnings.warn`.
+        """
+        total_samples = self.metadata["total_samples"]
+        if self.effective_total_samples == total_samples:
+            return
+        warnings.warn(
+            f"scheme {self.scheme!r} with k={self.metadata['num_partitions']} "
+            f"partitions processes {self.effective_total_samples} samples per "
+            f"iteration instead of the requested {total_samples} "
+            "(total_samples is rounded to a multiple of the partition count); "
+            "pass a total divisible by k to compare schemes on identical "
+            "sample counts",
+            SampleCountDriftWarning,
+            stacklevel=stacklevel + 1,
+        )
+
+
+def _timing_setup(
+    scheme: str,
+    cluster: ClusterSpec,
+    num_stragglers: int,
+    total_samples: int,
+    partitions_multiplier: int,
+    num_partitions: int | None,
+    injector: StragglerInjector,
+    network: CommunicationModel,
+    seed: int | None,
+    rng_version: int,
+) -> _TimingSetup:
+    """Partition count, samples per partition, strategy and trace metadata."""
+    if total_samples <= 0:
+        raise ValueError("total_samples must be positive")
+    if rng_version not in RNG_VERSIONS:
+        raise ValueError(
+            f"unknown rng_version {rng_version!r}; supported: {RNG_VERSIONS}"
+        )
+    k = num_partitions or natural_partitions(
+        scheme, cluster.num_workers, partitions_multiplier
+    )
+    samples_per_partition = max(1, total_samples // k)
+    effective_total_samples = samples_per_partition * k
+    strategy = build_strategy(
+        scheme,
+        throughputs=cluster.estimated_throughputs,
+        num_partitions=k,
+        num_stragglers=num_stragglers,
+        rng=np.random.default_rng(seed),
+    )
+    metadata: dict[str, Any] = {
+        "mode": "timing_only",
+        "num_workers": cluster.num_workers,
+        "num_partitions": k,
+        "num_stragglers": num_stragglers,
+        "total_samples": total_samples,
+        "effective_total_samples": effective_total_samples,
+        "samples_per_partition": samples_per_partition,
+        "loads": list(strategy.loads),
+        "num_groups": len(strategy.groups),
+        "injector": injector.describe(),
+        "network": network.describe(),
+    }
+    if rng_version != 1:
+        # v1 traces predate the field; leaving it implicit keeps their JSON
+        # byte-identical to pre-rng_version releases.
+        metadata["rng_version"] = rng_version
+    return _TimingSetup(
+        scheme=scheme,
+        strategy=strategy,
+        samples_per_partition=samples_per_partition,
+        effective_total_samples=effective_total_samples,
+        metadata=metadata,
+    )
+
+
 def measure_timing_trace(
     scheme: str,
     cluster: ClusterSpec,
@@ -92,7 +182,6 @@ def measure_timing_trace(
     gradient_bytes: float = 8.0 * 65536,
     seed: int | None = 0,
     rng_version: int = 1,
-    kernel_cache: TimingKernelCache | bool | None = None,
 ) -> RunTrace:
     """Simulate ``num_iterations`` of one scheme and return a timing trace.
 
@@ -100,6 +189,15 @@ def measure_timing_trace(
     training losses (no learning is performed); durations, per-worker
     compute times and workers-used are all populated, which is exactly what
     the Figs. 2/3/5 metrics need.
+
+    The pre-built :class:`~repro.simulation.vectorized.TimingTraceKernel`
+    comes from the **process-wide** cache
+    (:func:`~repro.simulation.vectorized.default_timing_kernel_cache`), the
+    one the :class:`~repro.api.engine.Engine` uses too, so calls that differ
+    only in the injector or RNG inputs reuse one kernel, its
+    :class:`~repro.coding.decoding.Decoder` and its memoised decode-order
+    decisions.  Results never depend on the cache: decode decisions are
+    pure functions of the completion order.
 
     Parameters
     ----------
@@ -126,93 +224,34 @@ def measure_timing_trace(
         jitter draws on one generator per iteration, bit-identical to every
         release since the seed.  ``2`` spawns per-component child streams
         from the seed (:class:`~repro.simulation.rng.RngStreams`) and runs
-        the whole trace in batched draws — statistically equivalent to v1
-        at matched seeds, several times faster, but not bit-identical.
-    kernel_cache:
-        Where to look up the pre-built :class:`~repro.simulation.vectorized
-        .TimingTraceKernel`.  The default (``None``) routes through the
-        **process-wide** cache
-        (:func:`~repro.simulation.vectorized.default_timing_kernel_cache`),
-        so sweep-style callers — the :class:`~repro.api.engine.Engine`
-        timing backend included — reuse one kernel, its
-        :class:`~repro.coding.decoding.Decoder` and its memoised
-        decode-order decisions across calls that differ only in the
-        injector or RNG inputs.  Pass an explicit
-        :class:`~repro.simulation.vectorized.TimingKernelCache` to isolate
-        caching, or ``False`` to opt out entirely (a fresh kernel per
-        call).  Results never depend on this choice: decode decisions are
-        pure functions of the completion order.
+        the whole trace as a 1-run stack of batched draws — statistically
+        equivalent to v1 at matched seeds, several times faster, but not
+        bit-identical.
     """
     if num_iterations <= 0:
         raise ValueError("num_iterations must be positive")
-    if total_samples <= 0:
-        raise ValueError("total_samples must be positive")
-    if rng_version not in RNG_VERSIONS:
-        raise ValueError(
-            f"unknown rng_version {rng_version!r}; supported: {RNG_VERSIONS}"
-        )
-    construction_rng = np.random.default_rng(seed)
     injector = injector or NoStragglers()
     network = network or SimpleNetwork()
-
-    k = num_partitions or natural_partitions(
-        scheme, cluster.num_workers, partitions_multiplier
-    )
-    samples_per_partition = max(1, total_samples // k)
-    effective_total_samples = samples_per_partition * k
-    if effective_total_samples != total_samples:
-        warnings.warn(
-            f"scheme {scheme!r} with k={k} partitions processes "
-            f"{effective_total_samples} samples per iteration instead of the "
-            f"requested {total_samples} (total_samples is rounded to a "
-            "multiple of the partition count); pass a total divisible by k "
-            "to compare schemes on identical sample counts",
-            SampleCountDriftWarning,
-            stacklevel=2,
-        )
-    strategy = build_strategy(
+    setup = _timing_setup(
         scheme,
-        throughputs=cluster.estimated_throughputs,
-        num_partitions=k,
-        num_stragglers=num_stragglers,
-        rng=construction_rng,
+        cluster,
+        num_stragglers,
+        total_samples,
+        partitions_multiplier,
+        num_partitions,
+        injector,
+        network,
+        seed,
+        rng_version,
     )
-    metadata = {
-        "mode": "timing_only",
-        "num_workers": cluster.num_workers,
-        "num_partitions": k,
-        "num_stragglers": num_stragglers,
-        "total_samples": total_samples,
-        "effective_total_samples": effective_total_samples,
-        "samples_per_partition": samples_per_partition,
-        "loads": list(strategy.loads),
-        "num_groups": len(strategy.groups),
-        "injector": injector.describe(),
-        "network": network.describe(),
-    }
-    if rng_version != 1:
-        # v1 traces predate the field; leaving it implicit keeps their JSON
-        # byte-identical to pre-rng_version releases.
-        metadata["rng_version"] = rng_version
-    if kernel_cache is None or kernel_cache is True:
-        kernel_cache = default_timing_kernel_cache()
-    if kernel_cache is False:
-        kernel = TimingTraceKernel(
-            strategy,
-            cluster,
-            samples_per_partition=samples_per_partition,
-            decoder=Decoder(strategy),
-            network=network,
-            gradient_bytes=gradient_bytes,
-        )
-    else:
-        kernel = kernel_cache.get_or_build(
-            strategy,
-            cluster,
-            samples_per_partition=samples_per_partition,
-            network=network,
-            gradient_bytes=gradient_bytes,
-        )
+    setup.warn_if_drifted(stacklevel=2)
+    kernel = default_timing_kernel_cache().get_or_build(
+        setup.strategy,
+        cluster,
+        samples_per_partition=setup.samples_per_partition,
+        network=network,
+        gradient_bytes=gradient_bytes,
+    )
     if rng_version == 1:
         timing_rng = np.random.default_rng(
             None if seed is None else seed + TIMING_SEED_OFFSET
@@ -220,18 +259,18 @@ def measure_timing_trace(
         arrays = kernel.run(num_iterations, rng=timing_rng, injector=injector)
     else:
         streams = RngStreams.from_seed(seed)
-        arrays = kernel.run_batched(
-            num_iterations,
+        run = StackedRun(
             injector_rng=streams.injector,
             jitter_rng=streams.jitter,
-            injector=injector,
             network_rng=streams.network,
+            injector=injector,
         )
+        arrays = kernel.run_stacked(num_iterations, [run])[0]
     # Columnar hand-off: the kernel arrays become the trace's storage as-is;
     # no per-iteration record object is ever constructed.
     return RunTrace.from_arrays(
         scheme=scheme,
         cluster_name=cluster.name,
         arrays=arrays,
-        metadata=metadata,
+        metadata=setup.metadata,
     )

@@ -145,9 +145,9 @@ def _plugin_specs() -> list[tuple[str, RunSpec]]:
     ``repro golden --include-plugins`` snapshots every scheme and protocol
     registered beyond the builtins: schemes through a Fig. 2-shaped timing
     run, protocols through a Fig. 4-shaped training run, each at both RNG
-    stream layouts.  The v2 cells pin exactly the code paths the sweep
-    planner's stacked kernels share with the per-run engine (the generic
-    ``delays_stacked``/``compute_times_stacked`` fallbacks), so a stacked-path
+    stream layouts.  The v2 cells run through the one v2 timing path, the
+    run-stacked kernel (a single run is a 1-run stack), and its per-run
+    ``delays_batch``/``compute_times_batch`` draws, so a stacked-path
     refactor cannot silently change plugin outputs.
     """
     schemes, protocols = _plugin_names()

@@ -23,8 +23,8 @@ Two execution paths produce that per-iteration structure:
 * the historical per-iteration loop (``config.rng_streams is None``), which
   is bit-identical to every release since the seed; and
 * the **batched** path (``config.rng_streams`` set, i.e. ``rng_version=2``):
-  the whole run's timing comes from one
-  :meth:`~repro.simulation.vectorized.TimingTraceKernel.run_batched` call,
+  the whole run's timing comes from one 1-run
+  :meth:`~repro.simulation.vectorized.TimingTraceKernel.run_stacked` call,
   each iteration's encode+decode collapses into a single ``(a B) @ G``
   vector-matrix product over the reused partition-gradient stack, the
   optimiser updates parameters in place, and the trace is assembled
@@ -46,7 +46,11 @@ from ..learning.partition import PartitionedDataset
 from ..simulation.cluster import ClusterSpec
 from ..simulation.timing import simulate_iteration
 from ..simulation.trace import IterationRecord, RunTrace
-from ..simulation.vectorized import TimingTraceArrays, default_timing_kernel_cache
+from ..simulation.vectorized import (
+    StackedRun,
+    TimingTraceArrays,
+    default_timing_kernel_cache,
+)
 from .base import ProtocolError, TrainingConfig, TrainingProtocol, evaluate_mean_loss
 
 __all__ = ["CodedBSPProtocol", "NaiveBSPProtocol"]
@@ -248,8 +252,8 @@ class CodedBSPProtocol(TrainingProtocol):
         ``(a B) @ G`` vector-matrix product (``a`` the decoding vector,
         ``B`` the used coding rows — memoised per distinct used-worker set)
         and one in-place optimiser update.  Timing, straggler and network
-        randomness are all pre-drawn by
-        :meth:`~repro.simulation.vectorized.TimingTraceKernel.run_batched`
+        randomness are all pre-drawn by a 1-run
+        :meth:`~repro.simulation.vectorized.TimingTraceKernel.run_stacked`
         from the config's per-component streams, and the timing kernel is
         looked up in the process-wide cache so repeated runs (sweeps,
         seed grids) reuse decoders and memoised decode orders.
@@ -275,13 +279,13 @@ class CodedBSPProtocol(TrainingProtocol):
             gradient_bytes=gradient_bytes,
         )
         decoder = kernel.decoder
-        arrays = kernel.run_batched(
-            config.num_iterations,
+        run = StackedRun(
             injector_rng=streams.injector,
             jitter_rng=streams.jitter,
-            injector=config.straggler_injector,
             network_rng=streams.network,
+            injector=config.straggler_injector,
         )
+        arrays = kernel.run_stacked(config.num_iterations, [run])[0]
 
         num_iterations = arrays.num_iterations
         train_losses = np.empty(num_iterations)

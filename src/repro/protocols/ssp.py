@@ -184,8 +184,10 @@ class SSPProtocol(TrainingProtocol):
 
     def _validate_and_shard(
         self, partitioned: PartitionedDataset, cluster: ClusterSpec
-    ) -> tuple[list[tuple[np.ndarray, np.ndarray]], np.ndarray]:
-        """Check the partition/worker contract and build per-worker shards."""
+    ) -> tuple[list[list[int]], np.ndarray]:
+        """Check the partition/worker contract; return each worker's
+        partitions and sample count (the shard data is built by the caller,
+        so a stack of runs never holds every run's copy at once)."""
         num_workers = cluster.num_workers
         if partitioned.num_partitions < num_workers:
             raise ProtocolError(
@@ -193,9 +195,10 @@ class SSPProtocol(TrainingProtocol):
                 f"k={partitioned.num_partitions} < m={num_workers}"
             )
         shards = self._assign_shards(partitioned, num_workers)
-        shard_data = [self._shard_data(partitioned, shard) for shard in shards]
-        shard_sizes = np.array([features.shape[0] for features, _ in shard_data])
-        return shard_data, shard_sizes
+        shard_sizes = np.array(
+            [sum(partitioned.partitions[p].size for p in shard) for shard in shards]
+        )
+        return shards, shard_sizes
 
     def _trace_metadata(
         self, partitioned: PartitionedDataset, shard_sizes: np.ndarray, config: TrainingConfig
@@ -220,7 +223,7 @@ class SSPProtocol(TrainingProtocol):
         config: TrainingConfig,
     ) -> RunTrace:
         if config.rng_streams is not None:
-            return self._run_batched(model, partitioned, cluster, config)
+            return self.run_stacked([model], [partitioned], [cluster], [config])[0]
         return self.run_per_event(model, partitioned, cluster, config)
 
     # ------------------------------------------------------------------
@@ -233,14 +236,15 @@ class SSPProtocol(TrainingProtocol):
     ) -> list[RunTrace]:
         """Run many independent ``rng_version=2`` trainings with one stacked scan.
 
-        The expensive part of the batched path — the heap-free schedule
-        scan — is evaluated once over a ``(runs, workers)`` clock matrix
-        instead of once per run, so a sweep of ``R`` seeds costs one numpy
-        scan per chunk rather than ``R``.  Each run draws from its own
-        config's per-component streams in exactly the standalone order, so
-        every returned trace is bit-identical to ``run(models[r], ...)``.
-        All runs must share the worker count and iteration count (the stack
-        shape); the sequential gradient replay still happens per run.
+        This is the one v2 SSP path: :meth:`run` is a 1-run stack.  The
+        expensive part of the batched path — the heap-free schedule scan —
+        is evaluated once over a ``(runs, workers)`` clock matrix instead of
+        once per run, so a sweep of ``R`` seeds costs one numpy scan per
+        chunk rather than ``R``.  Each run draws from its own config's
+        per-component streams, so every returned trace is bit-identical to
+        ``run(models[r], ...)``.  All runs must share the worker count and
+        iteration count (the stack shape); the sequential gradient replay
+        still happens per run.
         """
         num_runs = len(models)
         if not (len(partitioneds) == len(clusters) == len(configs) == num_runs):
@@ -257,7 +261,7 @@ class SSPProtocol(TrainingProtocol):
                     f"stacked run {index} has rng_version=1; run_stacked "
                     "requires per-component RngStreams (rng_version=2)"
                 )
-        shard_sizes_list: list[np.ndarray] = []
+        assignments: list[tuple[list[list[int]], np.ndarray]] = []
         gradient_bytes_list: list[float] = []
         injector_rngs: list[np.random.Generator] = []
         jitter_rngs: list[np.random.Generator] = []
@@ -265,8 +269,7 @@ class SSPProtocol(TrainingProtocol):
         for model, partitioned, cluster, config in zip(
             models, partitioneds, clusters, configs, strict=True
         ):
-            _, shard_sizes = self._validate_and_shard(partitioned, cluster)
-            shard_sizes_list.append(shard_sizes)
+            assignments.append(self._validate_and_shard(partitioned, cluster))
             gradient_bytes_list.append(
                 model.num_parameters * config.bytes_per_parameter
             )
@@ -279,7 +282,7 @@ class SSPProtocol(TrainingProtocol):
             )
         schedules = self._simulate_schedules_stacked(
             clusters,
-            shard_sizes_list,
+            [shard_sizes for _, shard_sizes in assignments],
             gradient_bytes_list,
             configs,
             injector_rngs,
@@ -292,7 +295,8 @@ class SSPProtocol(TrainingProtocol):
                 partitioneds[run],
                 clusters[run],
                 configs[run],
-                schedule=schedules[run],
+                schedules[run],
+                *assignments[run],
             )
             for run in range(num_runs)
         ]
@@ -336,7 +340,8 @@ class SSPProtocol(TrainingProtocol):
                 )
             network_rng = config.make_rng(component="network")
         num_workers = cluster.num_workers
-        shard_data, shard_sizes = self._validate_and_shard(partitioned, cluster)
+        shards, shard_sizes = self._validate_and_shard(partitioned, cluster)
+        shard_data = [self._shard_data(partitioned, shard) for shard in shards]
         gradient_bytes = model.num_parameters * config.bytes_per_parameter
 
         optimizer = config.optimizer_factory()
@@ -505,32 +510,6 @@ class SSPProtocol(TrainingProtocol):
             durations += config.network.transfer_time(gradient_bytes)
         return durations
 
-    def _simulate_schedule(
-        self,
-        cluster: ClusterSpec,
-        shard_sizes: np.ndarray,
-        gradient_bytes: float,
-        config: TrainingConfig,
-        injector_rng: np.random.Generator,
-        jitter_rng: np.random.Generator,
-        network_rng: np.random.Generator | None,
-    ) -> _EventSchedule:
-        """Resolve the event dynamics of one run without a heap.
-
-        The single-run special case of :meth:`_simulate_schedules_stacked`
-        — one code path serves standalone runs and run-stacked sweeps, so
-        the existing goldens and property tests gate both.
-        """
-        return self._simulate_schedules_stacked(
-            [cluster],
-            [shard_sizes],
-            [gradient_bytes],
-            [config],
-            [injector_rng],
-            [jitter_rng],
-            [network_rng],
-        )[0]
-
     def _simulate_schedules_stacked(
         self,
         clusters: Sequence[ClusterSpec],
@@ -554,13 +533,12 @@ class SSPProtocol(TrainingProtocol):
         axis.
 
         The chunk sequence depends only on the shared shape constants, so a
-        run active at scan round ``t`` draws exactly the blocks a
-        standalone :meth:`_simulate_schedule` call would have drawn from
-        the same streams — every returned schedule is bit-identical to its
-        unstacked counterpart.  Runs that settle early are finalized (one
-        runs-leading lexsort resolves every active run's event order at
-        once) and stop consuming their streams, again exactly like the
-        standalone scan.
+        run active at scan round ``t`` draws exactly the blocks a 1-run
+        scan would have drawn from the same streams — every returned
+        schedule is bit-identical to the 1-run scan of that run alone.  Runs
+        that settle early are finalized (one runs-leading lexsort resolves
+        every active run's event order at once) and stop consuming their
+        streams, again exactly like the 1-run scan.
         """
         num_runs = len(clusters)
         num_workers = clusters[0].num_workers
@@ -936,44 +914,27 @@ class SSPProtocol(TrainingProtocol):
         partitioned: PartitionedDataset,
         cluster: ClusterSpec,
         config: TrainingConfig,
-        schedule: _EventSchedule | None = None,
+        schedule: _EventSchedule,
+        shards: list[list[int]],
+        shard_sizes: np.ndarray,
     ) -> RunTrace:
-        """The ``rng_version=2`` fast path: whole-matrix timing draws, a
-        heap-free schedule scan, pre-drawn mini-batches, in-place optimiser
-        updates and a columnar trace.  Statistically equivalent to
+        """The ``rng_version=2`` replay of one run of :meth:`run_stacked`:
+        pre-drawn mini-batches, in-place optimiser updates and a columnar
+        trace over the ``schedule`` the stacked scan resolved (whole-matrix
+        timing draws, heap-free).  Statistically equivalent to
         :meth:`run_per_event` at matched seeds (same marginal duration and
         staleness distributions, different stream layout), several times
         faster — only the inherently sequential gradient replay remains
-        per-update Python.
-
-        ``schedule`` lets :meth:`run_stacked` hand in an event schedule it
-        already resolved in the stacked scan; the timing streams must then
-        have been consumed by that scan and are not touched here.
+        per-update Python.  The timing streams were consumed by the scan
+        and are not touched here.
         """
         eval_rng = config.make_rng()
         batch_rng = config.make_rng(stream_offset=208_003)
-        network = config.network
-        network_rng: np.random.Generator | None = None
-        if network.is_stochastic:
-            # Per-message transfer times come from the dedicated v2
-            # ``network`` child stream, exactly like the per-event path.
-            network_rng = config.make_rng(component="network")
         num_workers = cluster.num_workers
-        shard_data, shard_sizes = self._validate_and_shard(partitioned, cluster)
-        gradient_bytes = model.num_parameters * config.bytes_per_parameter
         metadata = self._trace_metadata(partitioned, shard_sizes, config)
         metadata["rng_version"] = 2
 
-        if schedule is None:
-            schedule = self._simulate_schedule(
-                cluster,
-                shard_sizes,
-                gradient_bytes,
-                config,
-                injector_rng=config.make_rng(component="injector"),
-                jitter_rng=config.make_rng(component="jitter"),
-                network_rng=network_rng,
-            )
+        shard_data = [self._shard_data(partitioned, shard) for shard in shards]
         event_features, event_labels = self._resolve_event_batches(
             schedule, shard_data, shard_sizes, batch_rng
         )

@@ -31,7 +31,6 @@ from .timing import (
     decodable_completion_order,
     simulate_iteration,
     simulate_worker_timing_arrays,
-    simulate_worker_timing_arrays_batch,
     simulate_worker_timings,
     worker_workloads,
 )
@@ -73,7 +72,6 @@ __all__ = [
     "worker_workloads",
     "simulate_worker_timings",
     "simulate_worker_timing_arrays",
-    "simulate_worker_timing_arrays_batch",
     "simulate_worker_timing_arrays_stacked",
     "simulate_iteration",
     "decodable_completion_order",

@@ -169,61 +169,6 @@ class ClusterSpec:
         jitter[:, drawn] = values
         return base * jitter
 
-    def compute_times_stacked(
-        self,
-        workloads: Sequence[float],
-        num_iterations: int,
-        rngs: Sequence[np.random.Generator | None],
-    ) -> np.ndarray:
-        """Compute times of ``len(rngs)`` independent runs, shape ``(runs, n, m)``.
-
-        Run ``r`` draws its lognormal jitter from ``rngs[r]`` in exactly the
-        order a standalone :meth:`compute_times_batch` call would, so every
-        slice ``out[r]`` is bit-identical to its unstacked result.  The
-        jitter-free case (``rng None`` or no noisy loaded worker) broadcasts
-        the deterministic base times without touching any stream.
-        """
-        if num_iterations <= 0:
-            raise ClusterError("num_iterations must be positive")
-        workloads = np.asarray(workloads, dtype=np.float64)
-        if workloads.shape != (self.num_workers,):
-            raise ClusterError(
-                f"expected {self.num_workers} workloads, got shape {workloads.shape}"
-            )
-        if np.any(workloads < 0):
-            raise ClusterError("workloads must be non-negative")
-        num_runs = len(rngs)
-        base = workloads / self._true_throughput_array
-        noise = self._compute_noise_array
-        drawn = (noise > 0.0) & (workloads > 0.0)
-        count = int(drawn.sum())
-        if not count or all(rng is None for rng in rngs):
-            return np.broadcast_to(
-                base, (num_runs, num_iterations, self.num_workers)
-            ).copy()
-        out = np.empty((num_runs, num_iterations, self.num_workers))
-        sigma = noise[drawn]
-        scalar_sigma = count == 1 or bool((sigma == sigma[0]).all())
-        for run, rng in enumerate(rngs):
-            if rng is None:
-                out[run] = base
-                continue
-            if scalar_sigma:
-                values = rng.lognormal(
-                    mean=0.0, sigma=float(sigma[0]), size=(num_iterations, count)
-                )
-            else:
-                values = rng.lognormal(
-                    mean=0.0, sigma=sigma, size=(num_iterations, count)
-                )
-            if count == self.num_workers:
-                np.multiply(base, values, out=out[run])
-            else:
-                jitter = np.ones((num_iterations, self.num_workers))
-                jitter[:, drawn] = values
-                np.multiply(base, jitter, out=out[run])
-        return out
-
     @property
     def vcpu_counts(self) -> tuple[int, ...]:
         return tuple(w.vcpus for w in self.workers)

@@ -19,7 +19,7 @@ only on ``(seed, component index)``, so
   batched call,
 
 and the whole trace runs without re-entering Python per iteration (see
-:meth:`repro.simulation.vectorized.TimingTraceKernel.run_batched`).
+:meth:`repro.simulation.vectorized.TimingTraceKernel.run_stacked`).
 
 v2 traces are *statistically* equivalent to v1 traces at matched seeds
 (identical marginal distributions; asserted property-style in

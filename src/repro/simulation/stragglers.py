@@ -20,18 +20,10 @@ the ``rng_version=2`` timing kernel uses to amortise per-iteration Python
 overhead.  The base class provides a generic fallback that stacks
 per-iteration :meth:`~StragglerInjector.delays` calls (bit-identical to the
 loop, so third-party injectors keep working unmodified); the builtins
-override it with fully vectorized draws.
-
-One level further up, :meth:`StragglerInjector.delays_stacked` produces the
-delays of *many independent runs* as one ``(runs, iterations, workers)``
-array — the API the run-stacked sweep kernels use.  Each run draws from its
-own generator exactly as a standalone :meth:`delays_batch` call would, so
-every run stays bit-identical to its unstacked result; the rng-free builtin
-paths override the per-run fallback with a single vectorized fill.  Sharing
-one injector instance across the runs of a stack is only sound when the
-injector carries no mutable per-run state, which the ``stateless`` class
-attribute advertises (the sweep planner builds a fresh injector per run
-when it is ``False``).
+override it with fully vectorized draws.  A run-stacked simulation calls
+:meth:`~StragglerInjector.delays_batch` once per run, on that run's own
+injector instance and generator, so stateful injectors such as
+:class:`BurstyStragglers` never leak state between the runs of a stack.
 """
 
 from __future__ import annotations
@@ -58,13 +50,6 @@ class StragglerError(ValueError):
 
 class StragglerInjector(ABC):
     """Base class: produce per-worker extra delays for one iteration."""
-
-    #: ``True`` when the injector keeps no mutable per-run state, i.e. one
-    #: instance may serve many independent runs (each with its own RNG)
-    #: without the runs influencing each other.  Stateful injectors such as
-    #: :class:`BurstyStragglers` leave this ``False`` and are rebuilt per
-    #: run by the sweep planner.
-    stateless: bool = False
 
     @abstractmethod
     def delays(
@@ -105,37 +90,6 @@ class StragglerInjector(ABC):
             out[step] = row
         return out
 
-    def delays_stacked(
-        self,
-        start_iteration: int,
-        num_iterations: int,
-        num_workers: int,
-        rngs: Sequence[np.random.Generator],
-    ) -> np.ndarray:
-        """Delays of ``len(rngs)`` independent runs, shape ``(runs, n, m)``.
-
-        Run ``r`` consumes ``rngs[r]`` exactly as a standalone
-        :meth:`delays_batch` call would, so every slice ``out[r]`` is
-        bit-identical to its unstacked result.  This generic fallback loops
-        :meth:`delays_batch` once per run (third-party injectors keep
-        working unmodified); builtins whose draws are rng-free override it
-        with a single vectorized fill.  Requires ``stateless`` injectors —
-        a stateful instance would leak state between the stacked runs.
-        """
-        out = np.empty((len(rngs), num_iterations, num_workers))
-        for run, rng in enumerate(rngs):
-            block = np.asarray(
-                self.delays_batch(start_iteration, num_iterations, num_workers, rng),
-                dtype=np.float64,
-            )
-            if block.shape != (num_iterations, num_workers):
-                raise StragglerError(
-                    f"{type(self).__name__}.delays_batch returned shape "
-                    f"{block.shape}, expected ({num_iterations}, {num_workers})"
-                )
-            out[run] = block
-        return out
-
     def describe(self) -> str:
         """Short human-readable description for experiment reports."""
         return type(self).__name__
@@ -143,8 +97,6 @@ class StragglerInjector(ABC):
 
 class NoStragglers(StragglerInjector):
     """No transient stragglers: all extra delays are zero."""
-
-    stateless = True
 
     def delays(
         self, iteration: int, num_workers: int, rng: np.random.Generator
@@ -159,15 +111,6 @@ class NoStragglers(StragglerInjector):
         rng: np.random.Generator,
     ) -> np.ndarray:
         return np.zeros((num_iterations, num_workers))
-
-    def delays_stacked(
-        self,
-        start_iteration: int,
-        num_iterations: int,
-        num_workers: int,
-        rngs: Sequence[np.random.Generator],
-    ) -> np.ndarray:
-        return np.zeros((len(rngs), num_iterations, num_workers))
 
 
 class ArtificialDelay(StragglerInjector):
@@ -187,8 +130,6 @@ class ArtificialDelay(StragglerInjector):
         Optional fixed set of workers to delay.  When ``None`` (default) a
         fresh random subset is drawn every iteration, as in the paper.
     """
-
-    stateless = True
 
     def __init__(
         self,
@@ -266,30 +207,6 @@ class ArtificialDelay(StragglerInjector):
         delays[rows, ranks[:, :count].ravel()] = self.delay_seconds
         return delays
 
-    def delays_stacked(
-        self,
-        start_iteration: int,
-        num_iterations: int,
-        num_workers: int,
-        rngs: Sequence[np.random.Generator],
-    ) -> np.ndarray:
-        count = self._checked_count(num_workers)
-        if count == 0 or self.delay_seconds == 0:
-            # rng-free: no run consumes its stream, same as delays_batch.
-            return np.zeros((len(rngs), num_iterations, num_workers))
-        if self.workers is not None:
-            delays = np.zeros((len(rngs), num_iterations, num_workers))
-            candidates = [w for w in self.workers if w < num_workers]
-            delays[:, :, np.asarray(candidates[:count], dtype=np.int64)] = (
-                self.delay_seconds
-            )
-            return delays
-        # Random subsets consume each run's own stream; defer to the
-        # bit-identical per-run fallback.
-        return super().delays_stacked(
-            start_iteration, num_iterations, num_workers, rngs
-        )
-
     def describe(self) -> str:
         delay = "fault" if np.isinf(self.delay_seconds) else f"{self.delay_seconds}s"
         return f"ArtificialDelay({self.num_stragglers} workers, {delay})"
@@ -302,8 +219,6 @@ class TransientSlowdown(StragglerInjector):
     is delayed by an exponentially distributed extra time with mean
     ``mean_delay_seconds``.
     """
-
-    stateless = True
 
     def __init__(self, probability: float, mean_delay_seconds: float) -> None:
         if not 0.0 <= probability <= 1.0:
@@ -408,8 +323,6 @@ class FailStop(StragglerInjector):
     worker never reports again.
     """
 
-    stateless = True
-
     def __init__(self, failures: dict[int, int]) -> None:
         """``failures`` maps worker index -> first iteration at which it is down."""
         for worker, start in failures.items():
@@ -442,23 +355,6 @@ class FailStop(StragglerInjector):
                 delays[iterations >= start, worker] = np.inf
         return delays
 
-    def delays_stacked(
-        self,
-        start_iteration: int,
-        num_iterations: int,
-        num_workers: int,
-        rngs: Sequence[np.random.Generator],
-    ) -> np.ndarray:
-        # rng-free: one (n, m) failure pattern serves every run.
-        if not rngs:
-            return np.zeros((0, num_iterations, num_workers))
-        pattern = self.delays_batch(
-            start_iteration, num_iterations, num_workers, rngs[0]
-        )
-        return np.broadcast_to(
-            pattern, (len(rngs), num_iterations, num_workers)
-        ).copy()
-
     def describe(self) -> str:
         return f"FailStop({self.failures})"
 
@@ -468,8 +364,6 @@ class CompositeInjector(StragglerInjector):
 
     def __init__(self, injectors: Sequence[StragglerInjector]) -> None:
         self.injectors = tuple(injectors)
-        # Safe to reuse across stacked runs only when every child is.
-        self.stateless = all(injector.stateless for injector in self.injectors)
 
     def delays(
         self, iteration: int, num_workers: int, rng: np.random.Generator
@@ -490,23 +384,6 @@ class CompositeInjector(StragglerInjector):
         for injector in self.injectors:
             total = total + injector.delays_batch(
                 start_iteration, num_iterations, num_workers, rng
-            )
-        return total
-
-    def delays_stacked(
-        self,
-        start_iteration: int,
-        num_iterations: int,
-        num_workers: int,
-        rngs: Sequence[np.random.Generator],
-    ) -> np.ndarray:
-        # Summing the children's stacks consumes each run's stream in the
-        # same child order as a standalone delays_batch call: child 0's
-        # whole block, then child 1's, ... — hence bit-identical per run.
-        total = np.zeros((len(rngs), num_iterations, num_workers))
-        for injector in self.injectors:
-            total = total + injector.delays_stacked(
-                start_iteration, num_iterations, num_workers, rngs
             )
         return total
 

@@ -38,7 +38,6 @@ __all__ = [
     "worker_workloads",
     "simulate_worker_timings",
     "simulate_worker_timing_arrays",
-    "simulate_worker_timing_arrays_batch",
     "simulate_iteration",
     "decodable_completion_order",
 ]
@@ -200,9 +199,9 @@ def simulate_worker_timing_arrays(
     if network.is_stochastic:
         raise TimingError(
             f"{type(network).__name__} samples per-message transfer times "
-            "and requires the rng_version=2 batched path "
-            "(simulate_worker_timing_arrays_batch with a network_rng); the "
-            "v1 stream layout has no slot for network draws"
+            "and requires the rng_version=2 stacked path "
+            "(simulate_worker_timing_arrays_stacked with a network_rng per "
+            "run); the v1 stream layout has no slot for network draws"
         )
     generator = np.random.default_rng(rng)
     delays = np.asarray(
@@ -214,68 +213,6 @@ def simulate_worker_timing_arrays(
     # Every loaded worker ships an identically sized payload, so the network
     # model is consulted once, not once per worker.
     comm = np.where(workloads > 0, network.transfer_time(gradient_bytes), 0.0)
-    return compute, delays, comm
-
-
-def simulate_worker_timing_arrays_batch(
-    cluster: ClusterSpec,
-    workloads: Sequence[float],
-    num_iterations: int,
-    injector: StragglerInjector | None = None,
-    start_iteration: int = 0,
-    gradient_bytes: float = 0.0,
-    network: CommunicationModel | None = None,
-    injector_rng: np.random.Generator | int | None = None,
-    jitter_rng: np.random.Generator | int | None = None,
-    network_rng: np.random.Generator | int | None = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Whole-trace form of :func:`simulate_worker_timing_arrays`.
-
-    Returns ``(compute_times, injected_delays, comm_times)`` with shapes
-    ``(n, m)``, ``(n, m)`` and ``(m,)`` — or ``(n, m)`` for the comm times
-    too when the network model is stochastic; row ``i`` describes iteration
-    ``start_iteration + i``.  Injector, jitter and network randomness come
-    from *separate* generators (the ``rng_version=2`` per-component
-    layout), so each component draws all of its iterations in one batched
-    call instead of interleaving per iteration on a shared stream.
-    """
-    if num_iterations <= 0:
-        raise TimingError("num_iterations must be positive")
-    workloads = np.asarray(workloads, dtype=np.float64)
-    if workloads.shape != (cluster.num_workers,):
-        raise TimingError(
-            f"expected {cluster.num_workers} workloads, got shape {workloads.shape}"
-        )
-    if np.any(workloads < 0):
-        raise TimingError("workloads must be non-negative")
-    injector = injector or NoStragglers()
-    network = network or ZeroCommunication()
-    delays = np.asarray(
-        injector.delays_batch(
-            start_iteration,
-            num_iterations,
-            cluster.num_workers,
-            np.random.default_rng(injector_rng),
-        ),
-        dtype=np.float64,
-    )
-    if delays.shape != (num_iterations, cluster.num_workers):
-        raise TimingError(
-            "straggler injector returned the wrong batch shape: "
-            f"{delays.shape} instead of {(num_iterations, cluster.num_workers)}"
-        )
-    compute = cluster.compute_times_batch(
-        workloads, num_iterations, rng=np.random.default_rng(jitter_rng)
-    )
-    if network.is_stochastic:
-        sampled = network.sample_transfer_times(
-            gradient_bytes,
-            (num_iterations, cluster.num_workers),
-            np.random.default_rng(network_rng),
-        )
-        comm = np.where(workloads > 0, sampled, 0.0)
-    else:
-        comm = np.where(workloads > 0, network.transfer_time(gradient_bytes), 0.0)
     return compute, delays, comm
 
 

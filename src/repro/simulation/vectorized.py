@@ -22,11 +22,13 @@ Two RNG stream layouts are supported:
   kernel run is bit-identical to ``num_iterations`` successive
   ``simulate_iteration`` calls with a shared generator.  The equivalence is
   asserted property-style in ``tests/simulation/test_vectorized.py``.
-* :meth:`TimingTraceKernel.run_batched` (``rng_version=2``) takes separate
-  per-component generators (see :mod:`repro.simulation.rng`) and draws
-  *all* iterations of injector delays and jitter in single batched calls —
-  the whole trace runs without re-entering Python per iteration.  Traces
-  are statistically equivalent to v1 at matched seeds but not bit-identical.
+* :meth:`TimingTraceKernel.run_stacked` (``rng_version=2``) simulates one
+  or more independent runs, each with its own per-component generators
+  (see :mod:`repro.simulation.rng`): every run draws *all* iterations of
+  injector delays and jitter in single batched calls, so the whole trace
+  runs without re-entering Python per iteration.  A single run is a 1-run
+  stack.  Traces are statistically equivalent to v1 at matched seeds but
+  not bit-identical.
 
 :class:`TimingKernelCache` keys kernels on (strategy fingerprint, cluster
 fingerprint, workload, network) so sweep-style experiments that vary only
@@ -102,9 +104,10 @@ class StackedRun:
 
     A stack simulates many *independent* runs in one kernel call; what can
     vary between them is captured here.  Every run owns its generators
-    (spawned from its own seed via the ``rng_version=2`` component streams),
-    so each slice of the stacked output is bit-identical to the standalone
-    :meth:`TimingTraceKernel.run_batched` result at the same seed.
+    (spawned from its own seed via the ``rng_version=2`` component streams)
+    and its injector, so each slice of the stacked output is bit-identical
+    to the 1-run stack of that run alone.  ``network_rng`` is required when
+    the network model is stochastic.
 
     ``injector``/``cluster`` default to the kernel- or call-level one; a
     per-run cluster must have the same worker count (sweeps over seeds build
@@ -129,16 +132,22 @@ def simulate_worker_timing_arrays_stacked(
     gradient_bytes: float = 0.0,
     network: CommunicationModel | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Run-stacked form of :func:`~repro.simulation.timing
-    .simulate_worker_timing_arrays_batch`.
+    """Run-stacked whole-trace form of :func:`~repro.simulation.timing
+    .simulate_worker_timing_arrays`.
 
     Returns ``(compute_times, injected_delays, comm_times)`` with shapes
     ``(runs, n, m)``, ``(runs, n, m)`` and ``(m,)`` — or ``(runs, n, m)``
-    for the comm times too when the network model is stochastic.  Slice
-    ``r`` of each output is bit-identical to a standalone batch call fed
-    ``runs[r]``'s generators: rng-free components fill the whole stack in
-    one vectorized call, rng-consuming components draw per run from that
-    run's own stream (runs are independent, so their draws cannot merge).
+    for the comm times too when the network model is stochastic; row ``i``
+    describes iteration ``start_iteration + i``.  Injector, jitter and
+    network randomness come from each run's *separate* generators (the
+    ``rng_version=2`` per-component layout): run ``r`` draws all of its
+    delays in one :meth:`~repro.simulation.stragglers.StragglerInjector
+    .delays_batch` call, all of its jitter in one
+    :meth:`~repro.simulation.cluster.ClusterSpec.compute_times_batch` call
+    and, for stochastic networks, all of its transfer times in one
+    :meth:`~repro.simulation.network.CommunicationModel
+    .sample_transfer_times` call.  Runs are independent, so their draws
+    never merge: slice ``r`` depends on ``runs[r]`` alone.
     """
     if num_iterations <= 0:
         raise TimingError("num_iterations must be positive")
@@ -153,73 +162,52 @@ def simulate_worker_timing_arrays_stacked(
     if np.any(workloads < 0):
         raise TimingError("workloads must be non-negative")
     network = network or ZeroCommunication()
-    num_runs = len(runs)
-    shape = (num_runs, num_iterations, num_workers)
-
-    # Injected delays: one vectorized call when every run shares one
-    # (stateless) injector instance, else the bit-identical per-run loop.
     default_injector = injector or NoStragglers()
-    injectors = [run.injector or default_injector for run in runs]
-    injector_rngs = [run.injector_rng for run in runs]
-    first_injector = injectors[0]
-    if all(inj is first_injector for inj in injectors):
-        delays = np.asarray(
-            first_injector.delays_stacked(
-                start_iteration, num_iterations, num_workers, injector_rngs
+    shape = (len(runs), num_iterations, num_workers)
+    loaded = workloads > 0
+    compute = np.empty(shape)
+    delays = np.empty(shape)
+    comm = (
+        np.empty(shape)
+        if network.is_stochastic
+        else np.where(loaded, network.transfer_time(gradient_bytes), 0.0)
+    )
+    for index, run in enumerate(runs):
+        run_cluster = run.cluster or cluster
+        if run_cluster.num_workers != num_workers:
+            raise TimingError(
+                f"stacked run {index} uses cluster {run_cluster.name!r} with "
+                f"{run_cluster.num_workers} workers; the stack is shaped for "
+                f"{num_workers}"
+            )
+        block = np.asarray(
+            (run.injector or default_injector).delays_batch(
+                start_iteration, num_iterations, num_workers, run.injector_rng
             ),
             dtype=np.float64,
         )
-        if delays.shape != shape:
+        if block.shape != (num_iterations, num_workers):
             raise TimingError(
-                "straggler injector returned the wrong stacked shape: "
-                f"{delays.shape} instead of {shape}"
+                "straggler injector returned the wrong batch shape: "
+                f"{block.shape} instead of {(num_iterations, num_workers)}"
             )
-    else:
-        delays = np.empty(shape)
-        for index, (inj, rng) in enumerate(zip(injectors, injector_rngs)):
-            block = np.asarray(
-                inj.delays_batch(start_iteration, num_iterations, num_workers, rng),
-                dtype=np.float64,
-            )
-            if block.shape != (num_iterations, num_workers):
-                raise TimingError(
-                    "straggler injector returned the wrong batch shape: "
-                    f"{block.shape} instead of {(num_iterations, num_workers)}"
-                )
-            delays[index] = block
-
-    # Compute times: one stacked draw when every run simulates the same
-    # cluster, else per-run batched draws against each run's own cluster.
-    clusters = [run.cluster or cluster for run in runs]
-    jitter_rngs = [run.jitter_rng for run in runs]
-    first_cluster = clusters[0]
-    if all(cl is first_cluster for cl in clusters):
-        compute = first_cluster.compute_times_stacked(
-            workloads, num_iterations, jitter_rngs
+        delays[index] = block
+        compute[index] = run_cluster.compute_times_batch(
+            workloads, num_iterations, run.jitter_rng
         )
-    else:
-        compute = np.empty(shape)
-        for index, (cl, rng) in enumerate(zip(clusters, jitter_rngs)):
-            if cl.num_workers != num_workers:
+        if network.is_stochastic:
+            if run.network_rng is None:
+                # default_rng(None) would draw OS entropy: this run's slice
+                # could never be reproduced while its other draws are seeded.
                 raise TimingError(
-                    f"stacked run {index} uses cluster {cl.name!r} with "
-                    f"{cl.num_workers} workers; the stack is shaped for "
-                    f"{num_workers}"
+                    f"stacked run {index} has no network_rng, but "
+                    f"{type(network).__name__} samples per-message transfer "
+                    "times; pass the run's network stream"
                 )
-            compute[index] = cl.compute_times_batch(workloads, num_iterations, rng)
-
-    loaded = workloads > 0
-    if network.is_stochastic:
-        comm = np.empty(shape)
-        for index, run in enumerate(runs):
             sampled = network.sample_transfer_times(
-                gradient_bytes,
-                (num_iterations, num_workers),
-                np.random.default_rng(run.network_rng),
+                gradient_bytes, (num_iterations, num_workers), run.network_rng
             )
             comm[index] = np.where(loaded, sampled, 0.0)
-    else:
-        comm = np.where(loaded, network.transfer_time(gradient_bytes), 0.0)
     return compute, delays, comm
 
 
@@ -274,12 +262,11 @@ class TimingTraceKernel:
         if self._any_jitter and (self._jitter_sigma == self._jitter_sigma[0]).all():
             self._uniform_sigma = float(self._jitter_sigma[0])
         self.gradient_bytes = float(gradient_bytes)
-        self._loaded_mask = workloads > 0
         # Deterministic models bake one scalar per worker; stochastic models
         # (is_stochastic) keep the typical value here for v1-style callers
-        # and sample per-message times in run_batched instead.
+        # and sample per-message times in run_stacked instead.
         self._comm = np.where(
-            self._loaded_mask, self.network.transfer_time(gradient_bytes), 0.0
+            workloads > 0, self.network.transfer_time(gradient_bytes), 0.0
         )
         # The decodable prefix depends only on the completion *order*; cache
         # the (prefix, decode result) pair per observed order so repeated
@@ -400,9 +387,9 @@ class TimingTraceKernel:
         if self.network.is_stochastic:
             raise TimingError(
                 f"{type(self.network).__name__} samples per-message transfer "
-                "times and requires the rng_version=2 batched path "
-                "(run_batched with a network_rng); the v1 stream layout has "
-                "no slot for network draws"
+                "times and requires the rng_version=2 stacked path "
+                "(run_stacked with a network_rng per run); the v1 stream "
+                "layout has no slot for network draws"
             )
         generator = np.random.default_rng(rng)
         m = self.num_workers
@@ -442,108 +429,25 @@ class TimingTraceKernel:
         )
 
     # ------------------------------------------------------------------
-    def run_batched(
-        self,
-        num_iterations: int,
-        injector_rng: np.random.Generator | int | None = None,
-        jitter_rng: np.random.Generator | int | None = None,
-        start_iteration: int = 0,
-        injector: StragglerInjector | None = None,
-        network_rng: np.random.Generator | int | None = None,
-    ) -> TimingTraceArrays:
-        """Whole-trace simulation with per-component streams (``rng_version=2``).
-
-        All injector delays come from ``injector_rng`` and all compute
-        jitter from ``jitter_rng``, each drawn in one batched call via
-        :meth:`StragglerInjector.delays_batch` and a single ``(n, m)``
-        lognormal draw.  Stochastic communication models additionally draw
-        every per-message transfer time from ``network_rng`` in one batched
-        :meth:`~repro.simulation.network.CommunicationModel
-        .sample_transfer_times` call (deterministic models consume nothing
-        from it).  One argsort orders every iteration, and the orders the
-        shared order cache has not seen are decided together by one
-        :meth:`~repro.coding.decoding.Decoder
-        .earliest_decodable_prefix_batched` call.
-
-        Same-distribution, different-stream relative to :meth:`run`; the
-        decode decisions are pure functions of the completion order, so the
-        two paths share ``self._order_cache``.
-        """
-        if num_iterations <= 0:
-            raise TimingError("num_iterations must be positive")
-        m = self.num_workers
-        delays = np.asarray(
-            (injector or self.injector).delays_batch(
-                start_iteration,
-                num_iterations,
-                m,
-                np.random.default_rng(injector_rng),
-            ),
-            dtype=np.float64,
-        )
-        if delays.shape != (num_iterations, m):
-            raise TimingError(
-                "straggler injector returned the wrong batch shape: "
-                f"{delays.shape} instead of {(num_iterations, m)}"
-            )
-        compute_times = self.cluster.compute_times_batch(
-            self.workloads, num_iterations, rng=np.random.default_rng(jitter_rng)
-        )
-        completion_times = compute_times + delays
-        if self.network.is_stochastic:
-            comm = self.network.sample_transfer_times(
-                self.gradient_bytes,
-                (num_iterations, m),
-                np.random.default_rng(network_rng),
-            )
-            completion_times += np.where(self._loaded_mask, comm, 0.0)
-        else:
-            completion_times += self._comm
-        durations, workers_used, used_groups = self._decide(completion_times)
-        return TimingTraceArrays(
-            durations=durations,
-            compute_times=compute_times,
-            completion_times=completion_times,
-            workers_used=workers_used,
-            used_groups=used_groups,
-        )
-
-    # ------------------------------------------------------------------
     def run_stacked(
         self,
         num_iterations: int,
         runs: Sequence[StackedRun],
         start_iteration: int = 0,
     ) -> list[TimingTraceArrays]:
-        """Simulate ``len(runs)`` independent runs in one stacked kernel call.
+        """Simulate ``len(runs)`` independent runs (``rng_version=2``).
 
-        Entry ``r`` of the result is bit-identical to
-        ``run_batched(num_iterations, ...)`` fed ``runs[r]``'s generators,
-        injector and cluster (durations, completion times, worker sets —
-        everything).  What makes the stack faster than the loop:
-
-        * rng-free draw components (deterministic comm, fixed-worker or
-          zero-delay injectors) fill the whole ``(runs, n, m)`` stack in one
-          numpy call; rng-consuming components draw once per *run* (already
-          batched over iterations);
-        * one ``argsort``/``isfinite`` call over all ``runs * n`` iterations;
-        * decode decisions are deduplicated across the *whole stack*
-          through ``self._order_cache``, and every distinct order it has not
-          seen is decided in one batched prefix search shared by all runs.
+        This is the one v2 timing path: a single run is a 1-run stack, and
+        entry ``r`` of an ``R``-run stack is bit-identical to the 1-run stack
+        of ``runs[r]`` (durations, completion times, worker sets —
+        everything).  Each run draws its delays, jitter and (stochastic)
+        transfer times from its own streams via
+        :func:`simulate_worker_timing_arrays_stacked`.  Then one
+        ``argsort``/``isfinite`` call orders all ``runs * n`` iterations,
+        and the decode decisions are deduplicated across the *whole stack*
+        through ``self._order_cache``: every distinct order it has not seen
+        is decided in one batched prefix search shared by all runs.
         """
-        if num_iterations <= 0:
-            raise TimingError("num_iterations must be positive")
-        if not runs:
-            raise TimingError("runs must not be empty")
-        for index, run in enumerate(runs):
-            if run.cluster is not None and run.cluster.num_workers != self.num_workers:
-                raise TimingError(
-                    f"stacked run {index} uses cluster {run.cluster.name!r} "
-                    f"with {run.cluster.num_workers} workers; this kernel is "
-                    f"shaped for {self.num_workers}"
-                )
-        num_runs = len(runs)
-        m = self.num_workers
         compute, delays, comm = simulate_worker_timing_arrays_stacked(
             self.cluster,
             self.workloads,
@@ -554,12 +458,11 @@ class TimingTraceKernel:
             gradient_bytes=self.gradient_bytes,
             network=self.network,
         )
-        # Same op order as run_batched: (compute + delays) += comm, so every
-        # float is produced by the identical sequence of additions.
+        num_runs = len(runs)
         completion = compute + delays
         completion += comm
         durations, workers_used, used_groups = self._decide(
-            completion.reshape(num_runs * num_iterations, m)
+            completion.reshape(num_runs * num_iterations, self.num_workers)
         )
         durations = durations.reshape(num_runs, num_iterations)
         out: list[TimingTraceArrays] = []

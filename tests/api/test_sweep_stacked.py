@@ -14,7 +14,6 @@ import json
 
 import pytest
 
-import repro.api.engine as engine_module
 import repro.experiments.common as common_module
 from repro.api import Engine, RunSpec
 from repro.api.engine import EngineError
@@ -97,6 +96,45 @@ class TestStackedTimingSweeps:
         )
         swept = assert_sweep_matches_run_many(engine, base, seed=[0, 1, 2])
         assert all(r.trace.metadata["rng_version"] == 2 for r in swept)
+
+
+    def test_bursty_stack_matches_per_spec_runs(self, engine, monkeypatch):
+        # BurstyStragglers carries per-run state: every stacked member owns
+        # its injector, exactly as a standalone Engine.run builds one.
+        from repro.simulation.vectorized import TimingTraceKernel
+
+        stack_sizes = []
+        run_stacked = TimingTraceKernel.run_stacked
+
+        def recording(self, num_iterations, runs, *args, **kwargs):
+            stack_sizes.append(len(runs))
+            return run_stacked(self, num_iterations, runs, *args, **kwargs)
+
+        monkeypatch.setattr(TimingTraceKernel, "run_stacked", recording)
+        # group_based on a pinned cluster builds one strategy for every
+        # seed, so the four seeds form one stack.
+        base = RunSpec(
+            scheme="group_based",
+            num_iterations=30,
+            total_samples=1024,
+            cluster_options={"rng": 123},
+            straggler=StragglerSpec(
+                "bursty",
+                {
+                    "enter_probability": 0.2,
+                    "exit_probability": 0.3,
+                    "mean_delay_seconds": 1.0,
+                },
+            ),
+            rng_version=2,
+            seed=0,
+        )
+        swept = engine.sweep(base, seed=[0, 1, 2, 3])
+        assert stack_sizes == [4]
+        stack_sizes.clear()
+        reference = [engine.run(result.spec) for result in swept]
+        assert stack_sizes == [1, 1, 1, 1]
+        assert results_json(swept) == results_json(reference)
 
 
 class TestStackedTrainingSweeps:
@@ -202,14 +240,15 @@ class TestSingletonTimingGroups:
 
     @pytest.fixture()
     def strategy_builds(self, monkeypatch):
+        # Stacked members and standalone runs both build their strategy in
+        # experiments.common's shared timing set-up.
         calls = []
-        build = engine_module.build_strategy
+        build = common_module.build_strategy
 
         def counting(*args, **kwargs):
             calls.append(args[0])
             return build(*args, **kwargs)
 
-        monkeypatch.setattr(engine_module, "build_strategy", counting)
         monkeypatch.setattr(common_module, "build_strategy", counting)
         return calls
 

@@ -101,30 +101,3 @@ class TestKernelCacheRouting:
         from repro.simulation.vectorized import default_timing_kernel_cache
 
         assert Engine.timing_kernel_cache() is default_timing_kernel_cache()
-
-    def test_opt_out_builds_fresh_kernels(self):
-        import numpy as np
-
-        from repro.simulation.vectorized import default_timing_kernel_cache
-
-        cache = default_timing_kernel_cache()
-        cache.clear()
-        cluster = build_cluster("Cluster-A", rng=0)
-        cached = measure_timing_trace(
-            "heter_aware", cluster, kernel_cache=False, **self.kwargs()
-        )
-        assert len(cache) == 0 and cache.misses == 0  # untouched
-        default = measure_timing_trace("heter_aware", cluster, **self.kwargs())
-        # Results never depend on the caching choice.
-        np.testing.assert_array_equal(cached.durations, default.durations)
-        cache.clear()
-
-    def test_explicit_cache_instance_still_respected(self):
-        from repro.simulation.vectorized import TimingKernelCache
-
-        mine = TimingKernelCache()
-        cluster = build_cluster("Cluster-A", rng=0)
-        measure_timing_trace(
-            "heter_aware", cluster, kernel_cache=mine, **self.kwargs()
-        )
-        assert len(mine) == 1 and mine.misses == 1

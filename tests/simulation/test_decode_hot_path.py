@@ -1,7 +1,8 @@
 """The timing kernels decide through the batched prefix search only.
 
-``run``, ``run_batched`` and ``run_stacked`` hand every completion order the
-order memo has not seen to ``Decoder.earliest_decodable_prefix_batched``.
+``run`` (v1) and ``run_stacked`` (v2, where a single run is a 1-run stack)
+hand every completion order the order memo has not seen to
+``Decoder.earliest_decodable_prefix_batched``.
 These tests pin that the per-order search is never called on that path, and
 that the arrays equal one-order-at-a-time decisions made with the scalar
 search: across several basis chunks, with failed (truncated) workers, and
@@ -99,11 +100,9 @@ class TestKernelsNeverCallTheScalarSearch:
         assert scalar_calls == []
         assert_matches_scalar(kernel.strategy, arrays)
 
-    def test_run_batched(self, scalar_calls):
+    def test_one_run_stack(self, scalar_calls):
         kernel = make_kernel()
-        arrays = kernel.run_batched(
-            40, injector_rng=0, jitter_rng=1, injector=FAILING
-        )
+        (arrays,) = kernel.run_stacked(40, stacked_runs((0,), (FAILING,)))
         assert scalar_calls == []
         assert_matches_scalar(kernel.strategy, arrays)
 
@@ -136,15 +135,13 @@ class TestFullOrderCache:
     def test_full_cache_still_decides_correctly(self):
         kernel = make_kernel("Cluster-C", "heter_aware")
         kernel.order_cache_limit = 5
-        first = kernel.run_batched(60, injector_rng=0, jitter_rng=1, injector=FAILING)
+        (first,) = kernel.run_stacked(60, stacked_runs((0,), (FAILING,)))
         assert len(kernel._order_cache) == 5
-        second = kernel.run_batched(60, injector_rng=2, jitter_rng=3, injector=FAILING)
+        (second,) = kernel.run_stacked(60, stacked_runs((1,), (FAILING,)))
         assert len(kernel._order_cache) == 5
         fresh = make_kernel("Cluster-C", "heter_aware")
-        for arrays, (injector_rng, jitter_rng) in ((first, (0, 1)), (second, (2, 3))):
-            expected = fresh.run_batched(
-                60, injector_rng=injector_rng, jitter_rng=jitter_rng, injector=FAILING
-            )
+        for arrays, seed in ((first, 0), (second, 1)):
+            (expected,) = fresh.run_stacked(60, stacked_runs((seed,), (FAILING,)))
             assert np.array_equal(arrays.durations, expected.durations)
             assert arrays.workers_used == expected.workers_used
             assert arrays.used_groups == expected.used_groups

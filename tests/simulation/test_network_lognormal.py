@@ -124,6 +124,47 @@ class TestStochasticNetworkTiming:
                 network=LogNormalNetwork(), rng=0,
             )
 
+    def test_stacked_run_without_network_rng_raises(self):
+        # Without its network stream a run's transfer times would come from
+        # OS entropy while its other draws stay seeded: unreproducible.
+        from repro.coding.registry import build_strategy
+        from repro.simulation.rng import RngStreams
+        from repro.simulation.vectorized import StackedRun, TimingTraceKernel
+
+        cluster = build_cluster("Cluster-A", rng=0)
+        strategy = build_strategy(
+            "cyclic",
+            throughputs=cluster.estimated_throughputs,
+            num_partitions=cluster.num_workers,
+            num_stragglers=1,
+            rng=0,
+        )
+
+        def kernel_for(network):
+            return TimingTraceKernel(
+                strategy, cluster, samples_per_partition=8,
+                network=network, gradient_bytes=1e6,
+            )
+
+        def runs(with_network_rng):
+            out = []
+            for seed, has_rng in zip((0, 1), with_network_rng):
+                streams = RngStreams.from_seed(seed)
+                out.append(
+                    StackedRun(
+                        injector_rng=streams.injector,
+                        jitter_rng=streams.jitter,
+                        network_rng=streams.network if has_rng else None,
+                    )
+                )
+            return out
+
+        with pytest.raises(TimingError, match="stacked run 1 has no network_rng"):
+            kernel_for(LogNormalNetwork()).run_stacked(5, runs((True, False)))
+        # Deterministic models draw nothing, so they need no network stream.
+        (arrays, _) = kernel_for(SimpleNetwork()).run_stacked(5, runs((False, False)))
+        assert np.isfinite(arrays.durations).all()
+
     def test_v2_run_is_deterministic_in_the_seed(self):
         cluster = build_cluster("Cluster-A", rng=0)
         with warnings.catch_warnings():

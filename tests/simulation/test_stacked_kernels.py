@@ -1,10 +1,14 @@
-"""Bit-identity of the run-stacked kernels against their per-run paths.
+"""Bit-identity of the run-stacked timing kernel, the one v2 timing path.
 
-The PR 7 contract: stacking many runs into one numpy call must change
-*nothing* about any individual run.  Every ``*_stacked`` kernel is pinned
-here against the standalone path it replaces — per-run generators spawned
-from the same seeds, outputs compared exactly (``inf`` rows included) —
-for every registered straggler model and every Table II cluster.
+A single ``rng_version=2`` run is a 1-run stack, so the contract pinned
+here is that stacking many runs into one numpy call changes *nothing* about
+any individual run: slice ``r`` of an ``R``-run stack equals the 1-run
+stack of run ``r`` — per-run generators spawned from the same seeds,
+outputs compared exactly (``inf`` rows included) — for every registered
+straggler model and every Table II cluster.  The draws themselves are
+pinned against an independent composition written here from the per-run
+primitives (``delays_batch`` + ``compute_times_batch`` + the network's
+transfer times), fed the same ``RngStreams``.
 """
 
 from __future__ import annotations
@@ -19,10 +23,7 @@ from repro.experiments.clusters import build_cluster
 from repro.simulation.cluster import uniform_cluster
 from repro.simulation.network import LogNormalNetwork, SimpleNetwork
 from repro.simulation.rng import RngStreams
-from repro.simulation.timing import (
-    simulate_worker_timing_arrays,
-    simulate_worker_timing_arrays_batch,
-)
+from repro.simulation.timing import simulate_worker_timing_arrays
 from repro.simulation.vectorized import (
     StackedRun,
     TimingTraceKernel,
@@ -66,6 +67,9 @@ TABLE_II_CLUSTERS = ["Cluster-A", "Cluster-B", "Cluster-C", "Cluster-D"]
 SEEDS = [11, 12, 13, 14, 15]
 
 
+GRADIENT_BYTES = 8.0 * 65536
+
+
 def make_kernel(cluster, scheme="heter_aware", network=None, seed=0):
     k = natural_partitions(scheme, cluster.num_workers, 2)
     strategy = build_strategy(
@@ -79,7 +83,7 @@ def make_kernel(cluster, scheme="heter_aware", network=None, seed=0):
         strategy,
         cluster,
         samples_per_partition=max(1, 2048 // k),
-        gradient_bytes=8.0 * 65536,
+        gradient_bytes=GRADIENT_BYTES,
         network=network or SimpleNetwork(),
     )
 
@@ -100,15 +104,36 @@ def stacked_runs(seeds, straggler_spec, stochastic_network):
     return runs
 
 
-def solo_arrays(kernel, num_iterations, seed, straggler_spec, stochastic_network):
+def one_run(kernel, num_iterations, seed, straggler_spec, stochastic_network):
+    """The 1-run stack of one seed: exactly what a standalone v2 run does."""
+    runs = stacked_runs([seed], straggler_spec, stochastic_network)
+    (arrays,) = kernel.run_stacked(num_iterations, runs)
+    return arrays
+
+
+def composed_draws(
+    cluster, workloads, num_iterations, seed, straggler_spec, network
+):
+    """Compute, delays and comm of one run, composed from the primitives.
+
+    Independent of ``simulate_worker_timing_arrays_stacked``: each component
+    draws from its own ``RngStreams`` child exactly once, over the whole
+    trace, and unloaded workers send nothing.
+    """
     streams = RngStreams.from_seed(seed)
-    return kernel.run_batched(
-        num_iterations,
-        injector_rng=streams.injector,
-        jitter_rng=streams.jitter,
-        injector=build_injector(straggler_spec),
-        network_rng=streams.network if stochastic_network else None,
+    shape = (num_iterations, cluster.num_workers)
+    delays = build_injector(straggler_spec).delays_batch(
+        0, num_iterations, cluster.num_workers, streams.injector
     )
+    compute = cluster.compute_times_batch(workloads, num_iterations, streams.jitter)
+    if network.is_stochastic:
+        transfer = network.sample_transfer_times(
+            GRADIENT_BYTES, shape, streams.network
+        )
+    else:
+        transfer = network.transfer_time(GRADIENT_BYTES)
+    comm = np.where(np.asarray(workloads) > 0, transfer, 0.0)
+    return compute, delays, comm
 
 
 def assert_arrays_identical(stacked, solo):
@@ -120,7 +145,7 @@ def assert_arrays_identical(stacked, solo):
 
 
 class TestRunStackedBitIdentity:
-    """``run_stacked`` slice r == standalone ``run_batched`` at seed r."""
+    """``run_stacked`` slice r == the 1-run stack of run r."""
 
     @pytest.mark.parametrize("straggler", sorted(STRAGGLER_SPECS))
     @pytest.mark.parametrize("cluster_name", TABLE_II_CLUSTERS)
@@ -132,19 +157,20 @@ class TestRunStackedBitIdentity:
         stacked = kernel.run_stacked(n, stacked_runs(SEEDS, spec, False))
         for index, seed in enumerate(SEEDS):
             assert_arrays_identical(
-                stacked[index], solo_arrays(kernel, n, seed, spec, False)
+                stacked[index], one_run(kernel, n, seed, spec, False)
             )
 
-    @pytest.mark.parametrize("straggler", ["none", "transient", "fail_stop"])
-    def test_stochastic_network_draws_stay_per_run(self, straggler):
-        cluster = build_cluster("Cluster-A", rng=0)
+    @pytest.mark.parametrize("straggler", sorted(STRAGGLER_SPECS))
+    @pytest.mark.parametrize("cluster_name", TABLE_II_CLUSTERS)
+    def test_stochastic_network_draws_stay_per_run(self, straggler, cluster_name):
+        cluster = build_cluster(cluster_name, rng=0)
         kernel = make_kernel(cluster, network=LogNormalNetwork())
         spec = STRAGGLER_SPECS[straggler]
         n = 25
         stacked = kernel.run_stacked(n, stacked_runs(SEEDS, spec, True))
         for index, seed in enumerate(SEEDS):
             assert_arrays_identical(
-                stacked[index], solo_arrays(kernel, n, seed, spec, True)
+                stacked[index], one_run(kernel, n, seed, spec, True)
             )
 
     def test_fail_stop_rows_are_infinite(self):
@@ -192,7 +218,7 @@ class TestRunStackedBitIdentity:
                 build_cluster("Cluster-A", rng=seed), scheme="naive"
             )
             assert_arrays_identical(
-                stacked[index], solo_arrays(solo_kernel, n, seed, spec, False)
+                stacked[index], one_run(solo_kernel, n, seed, spec, False)
             )
 
     def test_rejects_empty_runs(self):
@@ -201,13 +227,34 @@ class TestRunStackedBitIdentity:
             kernel.run_stacked(5, [])
 
 
-class TestStackedTimingArrays:
-    """``simulate_worker_timing_arrays_stacked`` vs the batch/scalar paths."""
+class TestIndependentComposition:
+    """Kernel draws == ``delays_batch`` + ``compute_times_batch`` + comm."""
 
     @pytest.mark.parametrize("straggler", sorted(STRAGGLER_SPECS))
-    def test_slices_match_standalone_batch(self, straggler):
+    @pytest.mark.parametrize("cluster_name", TABLE_II_CLUSTERS)
+    @pytest.mark.parametrize("network_name", ["simple", "lognormal"])
+    def test_completion_times_bit_equal(self, straggler, cluster_name, network_name):
+        cluster = build_cluster(cluster_name, rng=0)
+        network = SimpleNetwork() if network_name == "simple" else LogNormalNetwork()
+        stochastic = network.is_stochastic
+        kernel = make_kernel(cluster, network=network)
+        spec = STRAGGLER_SPECS[straggler]
+        n = 25
+        stacked = kernel.run_stacked(n, stacked_runs(SEEDS, spec, stochastic))
+        for index, seed in enumerate(SEEDS):
+            compute, delays, comm = composed_draws(
+                cluster, kernel.workloads, n, seed, spec, network
+            )
+            np.testing.assert_array_equal(stacked[index].compute_times, compute)
+            np.testing.assert_array_equal(
+                stacked[index].completion_times, compute + delays + comm
+            )
+
+    @pytest.mark.parametrize("straggler", sorted(STRAGGLER_SPECS))
+    def test_stacked_arrays_bit_equal(self, straggler):
         cluster = build_cluster("Cluster-B", rng=0)
         workloads = np.full(cluster.num_workers, 48.0)
+        workloads[0] = 0.0  # an unloaded worker sends nothing
         spec = STRAGGLER_SPECS[straggler]
         n = 25
         compute, delays, comm = simulate_worker_timing_arrays_stacked(
@@ -215,21 +262,13 @@ class TestStackedTimingArrays:
             workloads,
             n,
             stacked_runs(SEEDS, spec, False),
-            gradient_bytes=8.0 * 65536,
+            gradient_bytes=GRADIENT_BYTES,
             network=SimpleNetwork(),
         )
         assert comm.shape == (cluster.num_workers,)
         for index, seed in enumerate(SEEDS):
-            streams = RngStreams.from_seed(seed)
-            solo_compute, solo_delays, solo_comm = simulate_worker_timing_arrays_batch(
-                cluster,
-                workloads,
-                n,
-                injector=build_injector(spec),
-                gradient_bytes=8.0 * 65536,
-                network=SimpleNetwork(),
-                injector_rng=streams.injector,
-                jitter_rng=streams.jitter,
+            solo_compute, solo_delays, solo_comm = composed_draws(
+                cluster, workloads, n, seed, spec, SimpleNetwork()
             )
             np.testing.assert_array_equal(compute[index], solo_compute)
             np.testing.assert_array_equal(delays[index], solo_delays)
@@ -239,28 +278,21 @@ class TestStackedTimingArrays:
         cluster = build_cluster("Cluster-A", rng=0)
         workloads = np.full(cluster.num_workers, 32.0)
         spec = STRAGGLER_SPECS["none"]
-        compute, delays, comm = simulate_worker_timing_arrays_stacked(
+        _, _, comm = simulate_worker_timing_arrays_stacked(
             cluster,
             workloads,
             15,
             stacked_runs(SEEDS, spec, True),
-            gradient_bytes=1e6,
+            gradient_bytes=GRADIENT_BYTES,
             network=LogNormalNetwork(),
         )
         assert comm.shape == (len(SEEDS), 15, cluster.num_workers)
         for index, seed in enumerate(SEEDS):
-            streams = RngStreams.from_seed(seed)
-            _, _, solo_comm = simulate_worker_timing_arrays_batch(
-                cluster,
-                workloads,
-                15,
-                gradient_bytes=1e6,
-                network=LogNormalNetwork(),
-                injector_rng=streams.injector,
-                jitter_rng=streams.jitter,
-                network_rng=streams.network,
+            _, _, solo_comm = composed_draws(
+                cluster, workloads, 15, seed, spec, LogNormalNetwork()
             )
             np.testing.assert_array_equal(comm[index], solo_comm)
+        assert not np.array_equal(comm[0], comm[1])
 
     def test_deterministic_rows_match_the_scalar_path(self):
         # Noise-free cluster, rng-free injector, deterministic network: every
@@ -294,91 +326,3 @@ class TestStackedTimingArrays:
             np.testing.assert_array_equal(compute[0, iteration], ref_compute)
             np.testing.assert_array_equal(delays[0, iteration], ref_delays)
             np.testing.assert_array_equal(comm, ref_comm)
-
-
-class TestComputeTimesStacked:
-    """``ClusterSpec.compute_times_stacked`` vs batch and scalar draws."""
-
-    @pytest.mark.parametrize("cluster_name", TABLE_II_CLUSTERS)
-    def test_slices_match_standalone_batch(self, cluster_name):
-        cluster = build_cluster(cluster_name, rng=0)
-        workloads = np.full(cluster.num_workers, 64.0)
-        rngs = [RngStreams.from_seed(seed).jitter for seed in SEEDS]
-        stacked = cluster.compute_times_stacked(workloads, 30, rngs)
-        for index, seed in enumerate(SEEDS):
-            solo = cluster.compute_times_batch(
-                workloads, 30, RngStreams.from_seed(seed).jitter
-            )
-            np.testing.assert_array_equal(stacked[index], solo)
-
-    def test_jitter_free_rows_equal_the_scalar_path(self):
-        cluster = build_cluster("Cluster-A", rng=0)
-        workloads = np.full(cluster.num_workers, 64.0)
-        stacked = cluster.compute_times_stacked(workloads, 5, [None, None])
-        base = cluster.compute_times(workloads, rng=None)
-        assert stacked.shape == (2, 5, cluster.num_workers)
-        np.testing.assert_array_equal(
-            stacked, np.broadcast_to(base, stacked.shape)
-        )
-
-
-class TestDelaysStacked:
-    """``StragglerInjector.delays_stacked`` vs batch and scalar draws."""
-
-    @pytest.mark.parametrize(
-        "straggler",
-        sorted(k for k in STRAGGLER_SPECS if build_injector(STRAGGLER_SPECS[k]).stateless),
-    )
-    def test_stateless_slices_match_standalone_batch(self, straggler):
-        # Sharing one instance across stacked runs is only sound for
-        # stateless injectors (the planner builds fresh instances otherwise).
-        spec = STRAGGLER_SPECS[straggler]
-        injector = build_injector(spec)
-        rngs = [RngStreams.from_seed(seed).injector for seed in SEEDS]
-        stacked = injector.delays_stacked(0, 20, 9, rngs)
-        assert stacked.shape == (len(SEEDS), 20, 9)
-        for index, seed in enumerate(SEEDS):
-            solo = build_injector(spec).delays_batch(
-                0, 20, 9, RngStreams.from_seed(seed).injector
-            )
-            np.testing.assert_array_equal(stacked[index], solo)
-
-    def test_stateful_single_run_stack_matches_batch(self):
-        # A stateful injector can still be stacked one run at a time on a
-        # fresh instance: the generic fallback is plain delays_batch then.
-        stacked = build_injector(STRAGGLER_SPECS["bursty"]).delays_stacked(
-            0, 20, 9, [RngStreams.from_seed(3).injector]
-        )
-        solo = build_injector(STRAGGLER_SPECS["bursty"]).delays_batch(
-            0, 20, 9, RngStreams.from_seed(3).injector
-        )
-        np.testing.assert_array_equal(stacked[0], solo)
-
-    def test_rng_free_rows_equal_scalar_delays(self):
-        # ArtificialDelay with a fixed worker set ignores its rng: each
-        # stacked row must equal the per-iteration scalar delays() result.
-        injector = build_injector(
-            StragglerSpec(
-                "artificial_delay",
-                {"num_stragglers": 2, "delay_seconds": 1.0, "workers": [2, 5]},
-            )
-        )
-        rng = RngStreams.from_seed(0).injector
-        stacked = injector.delays_stacked(0, 6, 9, [rng])
-        for iteration in range(6):
-            np.testing.assert_array_equal(
-                stacked[0, iteration], injector.delays(iteration, 9, rng)
-            )
-
-    def test_stateless_flags(self):
-        assert build_injector(STRAGGLER_SPECS["none"]).stateless
-        assert build_injector(STRAGGLER_SPECS["artificial_delay"]).stateless
-        assert build_injector(STRAGGLER_SPECS["fail_stop"]).stateless
-        assert build_injector(STRAGGLER_SPECS["transient"]).stateless
-        assert not build_injector(STRAGGLER_SPECS["bursty"]).stateless
-        # A composite is stateless exactly when every child is.
-        assert build_injector(STRAGGLER_SPECS["composite"]).stateless
-        bursty_composite = StragglerSpec(
-            "composite", {"parts": ["none", {"kind": "bursty", "params": {}}]}
-        )
-        assert not build_injector(bursty_composite).stateless

@@ -1,4 +1,4 @@
-"""Tests for the batched (``rng_version=2``) kernel path and the kernel cache."""
+"""Tests for the ``rng_version=2`` kernel path (a 1-run stack) and the kernel cache."""
 
 from __future__ import annotations
 
@@ -10,11 +10,12 @@ from repro.simulation.cluster import cluster_from_vcpu_counts, uniform_cluster
 from repro.simulation.network import SimpleNetwork
 from repro.simulation.rng import RngStreams
 from repro.simulation.stragglers import ArtificialDelay, FailStop, NoStragglers
-from repro.simulation.timing import simulate_worker_timing_arrays_batch
 from repro.simulation.vectorized import (
+    StackedRun,
     TimingKernelCache,
     TimingTraceKernel,
     cluster_fingerprint,
+    simulate_worker_timing_arrays_stacked,
     strategy_fingerprint,
 )
 
@@ -38,28 +39,37 @@ def make_kernel(scheme: str = "heter_aware", seed: int = 0, noise: float = 0.02)
     return kernel, strategy, cluster
 
 
-class TestRunBatched:
+def one_run(kernel, num_iterations, injector_rng=0, jitter_rng=1, injector=None):
+    """A single v2 run: the kernel's 1-run stack."""
+    run = StackedRun(
+        injector_rng=np.random.default_rng(injector_rng),
+        jitter_rng=np.random.default_rng(jitter_rng),
+        injector=injector,
+    )
+    (arrays,) = kernel.run_stacked(num_iterations, [run])
+    return arrays
+
+
+class TestOneRunStack:
     def test_shapes_and_determinism(self):
         kernel, _, _ = make_kernel()
         streams = RngStreams.from_seed(0)
-        arrays = kernel.run_batched(
-            50, injector_rng=streams.injector, jitter_rng=streams.jitter,
-            injector=ArtificialDelay(1, 1.0),
+        arrays = one_run(
+            kernel, 50, streams.injector, streams.jitter, ArtificialDelay(1, 1.0)
         )
         assert arrays.durations.shape == (50,)
         assert arrays.compute_times.shape == (50, kernel.num_workers)
         assert arrays.completion_times.shape == (50, kernel.num_workers)
         repeat = RngStreams.from_seed(0)
-        again = kernel.run_batched(
-            50, injector_rng=repeat.injector, jitter_rng=repeat.jitter,
-            injector=ArtificialDelay(1, 1.0),
+        again = one_run(
+            kernel, 50, repeat.injector, repeat.jitter, ArtificialDelay(1, 1.0)
         )
         assert np.array_equal(arrays.durations, again.durations)
         assert np.array_equal(arrays.compute_times, again.compute_times)
 
     def test_duration_is_prefix_completion_time(self):
         kernel, _, _ = make_kernel(scheme="cyclic")
-        arrays = kernel.run_batched(30, injector_rng=0, jitter_rng=1)
+        arrays = one_run(kernel, 30)
         for step in range(30):
             completion = arrays.completion_times[step]
             assert arrays.durations[step] <= completion.max() + 1e-12
@@ -71,10 +81,7 @@ class TestRunBatched:
         injector = ArtificialDelay(1, 1.0)
         v1 = kernel.run(2000, rng=0, injector=injector)
         streams = RngStreams.from_seed(0)
-        v2 = kernel.run_batched(
-            2000, injector_rng=streams.injector, jitter_rng=streams.jitter,
-            injector=injector,
-        )
+        v2 = one_run(kernel, 2000, streams.injector, streams.jitter, injector)
         assert np.isfinite(v1.durations).all() and np.isfinite(v2.durations).all()
         assert v2.durations.mean() == pytest.approx(v1.durations.mean(), rel=0.05)
         assert v2.compute_times.mean(axis=0) == pytest.approx(
@@ -83,9 +90,7 @@ class TestRunBatched:
 
     def test_failed_workers_are_trimmed(self):
         kernel, _, _ = make_kernel(scheme="cyclic")
-        arrays = kernel.run_batched(
-            10, injector_rng=0, jitter_rng=1, injector=FailStop({0: 0})
-        )
+        arrays = one_run(kernel, 10, injector=FailStop({0: 0}))
         assert np.isinf(arrays.completion_times[:, 0]).all()
         for used in arrays.workers_used:
             assert 0 not in used
@@ -95,15 +100,15 @@ class TestRunBatched:
         kernel.run(20, rng=0)
         cached = len(kernel._order_cache)
         assert cached > 0
-        # Noise-free cluster: completion orders repeat, so the batched path
+        # Noise-free cluster: completion orders repeat, so the stacked path
         # re-uses the memoised decisions instead of re-deriving them.
-        kernel.run_batched(20, injector_rng=0, jitter_rng=1)
+        one_run(kernel, 20)
         assert len(kernel._order_cache) == cached
 
     def test_rejects_nonpositive_iterations(self):
         kernel, _, _ = make_kernel()
         with pytest.raises(ValueError, match="positive"):
-            kernel.run_batched(0, injector_rng=0, jitter_rng=1)
+            one_run(kernel, 0)
 
     def test_no_jitter_cluster(self):
         cluster = uniform_cluster("flat", 5, compute_noise=0.0)
@@ -115,43 +120,50 @@ class TestRunBatched:
             rng=np.random.default_rng(0),
         )
         kernel = TimingTraceKernel(strategy, cluster, samples_per_partition=16)
-        arrays = kernel.run_batched(6, injector_rng=0, jitter_rng=1)
+        arrays = one_run(kernel, 6)
         assert np.array_equal(arrays.compute_times[0], arrays.compute_times[-1])
 
     def test_injector_override_beats_constructor_injector(self):
         kernel, _, _ = make_kernel()
         assert isinstance(kernel.injector, NoStragglers)
-        arrays = kernel.run_batched(
-            5, injector_rng=0, jitter_rng=1,
-            injector=ArtificialDelay(1, 100.0, workers=(2,)),
+        arrays = one_run(
+            kernel, 5, injector=ArtificialDelay(1, 100.0, workers=(2,))
         )
         assert (arrays.completion_times[:, 2] > 100.0).all()
 
 
-class TestBatchTimingArrays:
+class TestStackedTimingArrays:
     def test_component_streams_do_not_interleave(self):
         # Same injector stream with a different jitter stream must produce
-        # identical delays: the components no longer share a generator.
+        # identical delays: the components do not share a generator.
         cluster = cluster_from_vcpu_counts(
             "c", {2: 2, 4: 2}, compute_noise=0.02, rng=0
         )
         workloads = np.full(cluster.num_workers, 32.0)
         injector = ArtificialDelay(2, 1.0)
-        _, delays_a, _ = simulate_worker_timing_arrays_batch(
-            cluster, workloads, 25, injector=injector,
-            injector_rng=7, jitter_rng=1,
-        )
-        _, delays_b, _ = simulate_worker_timing_arrays_batch(
-            cluster, workloads, 25, injector=injector,
-            injector_rng=7, jitter_rng=99,
-        )
-        assert np.array_equal(delays_a, delays_b)
+
+        def delays_for(jitter_seed):
+            run = StackedRun(
+                injector_rng=np.random.default_rng(7),
+                jitter_rng=np.random.default_rng(jitter_seed),
+                injector=injector,
+            )
+            _, delays, _ = simulate_worker_timing_arrays_stacked(
+                cluster, workloads, 25, [run]
+            )
+            return delays
+
+        assert np.array_equal(delays_for(1), delays_for(99))
 
     def test_comm_vector_matches_network(self):
         cluster = uniform_cluster("flat", 4, compute_noise=0.0)
         workloads = np.array([16.0, 0.0, 16.0, 16.0])
-        _, _, comm = simulate_worker_timing_arrays_batch(
-            cluster, workloads, 3, gradient_bytes=1.25e8,
+        run = StackedRun(
+            injector_rng=np.random.default_rng(0),
+            jitter_rng=np.random.default_rng(1),
+        )
+        _, _, comm = simulate_worker_timing_arrays_stacked(
+            cluster, workloads, 3, [run], gradient_bytes=1.25e8,
             network=SimpleNetwork(latency_seconds=0.0),
         )
         assert np.array_equal(comm, [1.0, 0.0, 1.0, 1.0])

@@ -16,6 +16,7 @@ import warnings
 import numpy as np
 import pytest
 
+from repro.api import Engine
 from repro.experiments.clusters import build_cluster
 from repro.experiments.common import SampleCountDriftWarning, measure_timing_trace
 from repro.learning.optimizers import SGD, Adam, MomentumSGD
@@ -32,19 +33,21 @@ PEAK_BUDGET_BYTES = 12 * 1024 * 1024
 class TestTraceMemorySmoke:
     def test_10k_iteration_trace_stays_columnar(self):
         cluster = build_cluster("Cluster-A", rng=0)
+        # Start from an empty process-wide kernel cache, so the warm-up below
+        # builds this test's kernel rather than reusing an earlier test's.
+        Engine.clear_timing_kernel_cache()
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", SampleCountDriftWarning)
             # Warm imports/caches outside the measurement window.
             measure_timing_trace(
                 "heter_aware", cluster, num_stragglers=1, total_samples=2048,
-                num_iterations=10, seed=0, rng_version=2, kernel_cache=False,
+                num_iterations=10, seed=0, rng_version=2,
             )
             tracemalloc.start()
             try:
                 trace = measure_timing_trace(
                     "heter_aware", cluster, num_stragglers=1, total_samples=2048,
                     num_iterations=NUM_ITERATIONS, seed=0, rng_version=2,
-                    kernel_cache=False,
                 )
                 _, peak = tracemalloc.get_traced_memory()
             finally:
@@ -65,7 +68,7 @@ class TestTraceMemorySmoke:
             warnings.simplefilter("ignore", SampleCountDriftWarning)
             trace = measure_timing_trace(
                 "heter_aware", cluster, num_stragglers=1, total_samples=2048,
-                num_iterations=50, seed=0, rng_version=2, kernel_cache=False,
+                num_iterations=50, seed=0, rng_version=2,
             )
         records = trace.records
         assert len(records) == 50
