@@ -18,12 +18,11 @@ One code path serves every scheme, protocol, cluster and workload:
   ``@register_executor``, ``@register_array_backend`` — through which new
   building blocks plug in
   without editing any dispatch table;
-* the sweep executors (:mod:`repro.api.executors`) — ``serial``,
-  ``process``, ``process_shm``, ``thread``, ``cached`` — selecting how
-  :meth:`Engine.run_many` / :meth:`Engine.sweep` execute and how results
-  move between workers, always bit-identical to a serial loop; execution
-  resolves through one :class:`ExecutionPolicy` (the legacy
-  ``parallel=``/``executor=`` pair is sugar for it);
+* the sweep executors (:mod:`repro.api.executors`) — ``process`` and
+  ``cached`` — chosen by the one ``executor=`` argument of
+  :meth:`Engine.run_many` / :meth:`Engine.sweep` / :meth:`Engine.compare`;
+  ``executor=None`` (the default) runs in-process and is the reference
+  every executor is bit-identical to;
 * the engine-as-a-service layer: :func:`fingerprint` /
   :meth:`RunSpec.fingerprint` (the content address of a run),
   :class:`RunStore` / :class:`FileRunStore` / :func:`open_store`
@@ -54,15 +53,12 @@ Quickstart::
 
 from .builders import build_injector, build_network
 from .client import ClientError, RunResponse, ServiceClient, SweepResponse
-from .engine import Engine, EngineError, ExecutionPolicy
+from .engine import Engine, EngineError
 from .executors import (
     CachedExecutor,
     Executor,
     ExecutorError,
     ProcessExecutor,
-    ProcessShmExecutor,
-    SerialExecutor,
-    ThreadExecutor,
 )
 from .registry import (
     ARRAY_BACKENDS,
@@ -119,7 +115,6 @@ def __getattr__(name: str) -> object:
 __all__ = [
     "Engine",
     "EngineError",
-    "ExecutionPolicy",
     "RunSpec",
     "RunResult",
     "ResultError",
@@ -145,10 +140,7 @@ __all__ = [
     "RUN_STORES",
     "Executor",
     "ExecutorError",
-    "SerialExecutor",
     "ProcessExecutor",
-    "ProcessShmExecutor",
-    "ThreadExecutor",
     "CachedExecutor",
     "RunStore",
     "FileRunStore",

@@ -20,9 +20,8 @@ from __future__ import annotations
 
 import functools
 import itertools
-import os
 from collections.abc import Iterable, Mapping, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Any
 
 from .._registry import (
@@ -55,25 +54,12 @@ from ..simulation.vectorized import (
     strategy_fingerprint,
 )
 from .builders import build_injector, build_network
-from .executors import Executor, ProcessExecutor, resolve_executor
+from .executors import Executor, resolve_executor
 from .result import RunResult
 from .spec import RunSpec, SpecError
 
-__all__ = ["Engine", "EngineError", "ExecutionPolicy"]
+__all__ = ["Engine", "EngineError"]
 
-
-def _available_cpu_count() -> int:
-    """CPUs available to *this* process.
-
-    ``os.process_cpu_count`` (3.13+) respects the scheduling affinity mask,
-    so containers pinned to a CPU subset get the right pool size;
-    ``os.cpu_count`` — which reports the whole machine — is the fallback on
-    older interpreters.
-    """
-    process_cpu_count = getattr(os, "process_cpu_count", None)
-    if process_cpu_count is not None:
-        return process_cpu_count() or 1
-    return os.cpu_count() or 1
 
 #: Soft cap on ``runs * iterations * workers`` elements held by one stacked
 #: kernel call; larger groups are executed in consecutive chunks of runs.
@@ -82,92 +68,6 @@ _STACK_ELEMENT_CAP = 4_000_000
 
 class EngineError(ValueError):
     """Raised when a spec cannot be executed (unknown names, bad mode)."""
-
-
-def _resolve_worker_count(parallel: int | bool | None, num_units: int) -> int:
-    """The historical ``parallel=`` resolution rule, shared by every path.
-
-    ``None``/``False``/``0``/``1`` -> one worker; ``True`` -> one per CPU;
-    an integer -> that many — always clamped to ``num_units`` so
-    over-provisioned requests never spawn idle workers.
-    """
-    if parallel is None or parallel is False:
-        return 1
-    if parallel is True:
-        workers = _available_cpu_count()
-    else:
-        workers = int(parallel)
-        if workers < 0:
-            raise EngineError("parallel must be non-negative")
-    return max(1, min(workers, num_units))
-
-
-@dataclass(frozen=True)
-class ExecutionPolicy:
-    """*One* answer to "how does a batch of runs execute?".
-
-    Historically that answer was spread across two knobs — ``parallel=``
-    (a worker count) and ``executor=`` (a dispatch strategy) — duplicated
-    with subtly re-stated semantics on :meth:`Engine.run_many`,
-    :meth:`Engine.sweep` and :meth:`Engine.compare`.  A policy collapses
-    them into one value with one resolution rule, used identically by all
-    three entry points (each of which also accepts ``policy=`` directly).
-
-    Fields
-    ------
-    executor:
-        The resolved :class:`~repro.api.executors.Executor`, or ``None``
-        for the engine's default split: in-process serial when the worker
-        count resolves to one, the ``process`` pickle pool otherwise.
-    workers:
-        The raw ``parallel=`` value (``None``/bool/int); resolved per
-        batch by :meth:`worker_count` under the historical rule.  With an
-        explicit executor, ``None`` means one worker per CPU.
-
-    :meth:`resolve` is the single place legacy knob combinations are
-    interpreted — and the place conflicting ones (an explicit executor
-    together with ``parallel=False``/``0``, i.e. "use this pool" + "don't
-    parallelise") raise :class:`EngineError` instead of silently
-    preferring one knob.
-    """
-
-    executor: Executor | None = None
-    workers: int | bool | None = None
-
-    @classmethod
-    def resolve(
-        cls,
-        parallel: int | bool | None = None,
-        executor: "Executor | str | None" = None,
-    ) -> "ExecutionPolicy":
-        """Collapse the legacy ``(parallel=, executor=)`` pair into a policy."""
-        chosen = resolve_executor(executor)
-        if chosen is not None and parallel is not None and parallel == 0:
-            raise EngineError(
-                f"conflicting execution policy: executor={chosen.name or chosen!r} "
-                f"requests pooled dispatch but parallel={parallel!r} disables "
-                "it; drop one of the two (parallel= is legacy sugar — prefer "
-                "ExecutionPolicy(executor=..., workers=...))"
-            )
-        return cls(executor=chosen, workers=parallel)
-
-    def worker_count(self, num_units: int) -> int:
-        """Workers for a batch of ``num_units`` dispatch units."""
-        if self.executor is None:
-            return _resolve_worker_count(self.workers, num_units)
-        return _resolve_worker_count(
-            True if self.workers is None else self.workers, num_units
-        )
-
-    def plan(self, num_units: int) -> "tuple[Executor | None, int]":
-        """(executor, workers) for a batch — ``None`` meaning the engine's
-        in-process serial loop (the historical ``parallel=None`` path)."""
-        workers = self.worker_count(num_units)
-        if self.executor is not None:
-            return self.executor, workers
-        if workers <= 1:
-            return None, workers
-        return ProcessExecutor(), workers
 
 
 @dataclass(frozen=True)
@@ -293,21 +193,6 @@ def _run_training(spec: RunSpec) -> RunTrace:
 
 
 # ---------------------------------------------------------------------------
-# process-pool worker
-# ---------------------------------------------------------------------------
-
-def _run_spec_in_subprocess(spec_dict: dict) -> "RunResult":
-    """Execute one serialised spec in a worker process.
-
-    Module-level so it pickles under every start method; the worker builds a
-    fresh default :class:`Engine`, which resolves the same registry-backed
-    plugins the parent would.  Each run draws all randomness from its spec's
-    seed, so results are bit-identical to an in-process ``Engine.run``.
-    """
-    return Engine().run(RunSpec.from_dict(spec_dict))
-
-
-# ---------------------------------------------------------------------------
 # the engine
 # ---------------------------------------------------------------------------
 
@@ -391,91 +276,38 @@ class Engine:
         trace = backend(spec)
         return RunResult.from_trace(spec, trace)
 
-    @staticmethod
-    def _policy(
-        parallel: int | bool | None,
-        executor: "Executor | str | None",
-        policy: "ExecutionPolicy | None",
-    ) -> ExecutionPolicy:
-        """The one resolution point for every execution entry point.
-
-        ``policy=`` is the redesigned API; ``parallel=``/``executor=`` are
-        legacy sugar resolved through :meth:`ExecutionPolicy.resolve`.
-        Passing a policy *and* legacy knobs is ambiguous and raises.
-        """
-        if policy is not None:
-            if parallel is not None or executor is not None:
-                raise EngineError(
-                    "conflicting execution policy: pass either policy= or the "
-                    "legacy parallel=/executor= knobs, not both"
-                )
-            if not isinstance(policy, ExecutionPolicy):
-                raise EngineError(
-                    f"policy must be an ExecutionPolicy, got "
-                    f"{type(policy).__name__}"
-                )
-            return policy
-        return ExecutionPolicy.resolve(parallel=parallel, executor=executor)
-
     def run_many(
         self,
         specs: Sequence[RunSpec],
-        parallel: int | bool | None = None,
         executor: "Executor | str | None" = None,
-        *,
-        policy: "ExecutionPolicy | None" = None,
     ) -> list[RunResult]:
-        """Run several specs under one :class:`ExecutionPolicy`.
+        """Run several specs, one result per spec, in order.
 
-        Parameters
-        ----------
-        specs:
-            The runs to execute, in result order.
-        parallel:
-            Legacy sugar for ``policy.workers``.
-            ``None``/``False``/``0``/``1`` — run serially in-process.
-            ``True`` — one worker per CPU.  An integer — that many workers.
-            The worker count is always clamped to ``len(specs)`` so
-            over-provisioned requests (``parallel=64`` for two specs) never
-            spawn idle pool processes.  ``compare`` and ``sweep`` resolve
-            their ``parallel`` argument through this exact rule.  Every
-            run's randomness derives from its spec's seed, so parallel
-            results are bit-identical to serial ones; only wall-clock time
-            changes.
-        executor:
-            Legacy sugar for ``policy.executor``.  ``None`` (default) keeps
-            the historical behaviour: serial when ``parallel`` resolves to
-            one worker, the ``process`` pickle pool otherwise.  A
-            registered name (``"serial"``, ``"process"``, ``"process_shm"``,
-            ``"thread"``, ``"cached"``) or an
-            :class:`~repro.api.executors.Executor` instance forces that
-            executor even for a single spec; ``parallel`` then only sets
-            its worker count (``None`` meaning one worker per CPU).
-        policy:
-            The redesigned single knob: an :class:`ExecutionPolicy`
-            carrying both decisions.  Mutually exclusive with the legacy
-            pair; ``run_many``/``sweep``/``compare`` all resolve through
-            the same :meth:`_policy` helper.
+        ``executor`` says where they run: ``None`` (default) runs them one
+        after another in-process; a registered name (``"process"``,
+        ``"cached"``) or an :class:`~repro.api.executors.Executor` instance
+        hands them to that executor, e.g.
+        ``executor=ProcessExecutor(workers=4)``.  Every run's randomness
+        derives from its spec's seed, so results are bit-identical whatever
+        the executor; only wall-clock time changes.
 
         Raises
         ------
         EngineError
-            On conflicting policy/legacy arguments, or when subprocess
-            execution is requested on an engine carrying injected
-            (non-registry) backends — those cannot be rebuilt in a worker
-            process.
+            When subprocess execution is requested on an engine carrying
+            injected (non-registry) backends — those cannot be rebuilt in a
+            worker process.
         """
         specs = list(specs)
-        resolved = self._policy(parallel, executor, policy)
-        chosen, workers = resolved.plan(len(specs))
+        chosen = resolve_executor(executor)
         if chosen is None:
             return [self.run(spec) for spec in specs]
         if chosen.requires_subprocess:
             if self._backends is not None:
                 raise EngineError(
-                    "parallel execution requires registry-backed engines; this "
-                    "engine carries injected backends that worker processes "
-                    "cannot reconstruct"
+                    "subprocess execution requires registry-backed engines; "
+                    "this engine carries injected backends that worker "
+                    "processes cannot reconstruct"
                 )
             for spec in specs:
                 if not isinstance(spec, RunSpec):
@@ -483,13 +315,7 @@ class Engine:
                         f"Engine.run_many expects RunSpecs, got {type(spec).__name__}"
                     )
                 self.validate(spec)  # fail fast in the parent process
-        return chosen.run_specs(self, specs, workers)
-
-    @staticmethod
-    def _resolve_parallel(parallel: int | bool | None, num_specs: int) -> int:
-        """Legacy alias for the shared worker-count rule (kept public-ish:
-        callers and tests pin the ``parallel=`` semantics through it)."""
-        return _resolve_worker_count(parallel, num_specs)
+        return chosen.run_specs(self, specs)
 
     # -- sweep planner --------------------------------------------------
     #
@@ -704,12 +530,10 @@ class Engine:
     def _run_sweep_specs(
         self,
         specs: Sequence[RunSpec],
-        parallel: int | bool | None = None,
         executor: "Executor | str | None" = None,
-        policy: "ExecutionPolicy | None" = None,
     ) -> list[RunResult]:
-        """Dispatch sweep specs through stacked groups plus a fallback pool."""
-        resolved = self._policy(parallel, executor, policy)
+        """Dispatch sweep specs through stacked groups plus a fallback."""
+        chosen = resolve_executor(executor)
         specs = list(specs)
         results: list[RunResult | None] = [None] * len(specs)
         timing_groups: dict[tuple[Any, ...], list[_TimingStackMember]] = {}
@@ -745,15 +569,11 @@ class Engine:
         for key in [key for key, group in training_groups.items() if len(group) < 2]:
             remainder.extend(member.index for member in training_groups.pop(key))
         # A singleton timing group run in-process is a 1-run stack, which
-        # reuses the cluster and strategy its member already built.  When
-        # the fallback would go to a pool, singletons join it instead so
-        # `parallel` still helps ragged sweeps.
-        singletons = [key for key, group in timing_groups.items() if len(group) < 2]
-        if (
-            resolved.executor is not None
-            or resolved.worker_count(len(remainder) + len(singletons)) > 1
-        ):
-            for key in singletons:
+        # reuses the cluster and strategy its member already built.  Under
+        # an explicit executor, singletons join the fallback instead, so
+        # the executor sees every ragged run.
+        if chosen is not None:
+            for key in [k for k, group in timing_groups.items() if len(group) < 2]:
                 remainder.extend(member.index for member in timing_groups.pop(key))
         remainder.sort()
         timing_chunks: list[list[_TimingStackMember]] = []
@@ -766,19 +586,17 @@ class Engine:
             for start in range(0, len(timing_group), step):
                 timing_chunks.append(timing_group[start : start + step])
         training_chunks = list(training_groups.values())
-        # An explicit executor may take whole stacked groups as units — the
-        # transport then moves per-group stacks, not per-run pickles.  A
-        # declined dispatch (run_groups -> None) and the default
-        # executor=None both fall through to the in-process stacked path.
-        chosen = resolved.executor
+        # An explicit executor may take whole stacked groups as units, so a
+        # pool moves per-group stacks, not per-run pickles.  A declined
+        # dispatch (run_groups -> None) and the default executor=None both
+        # fall through to the in-process stacked path.
         member_chunks: list[list[Any]] = [*timing_chunks, *training_chunks]
         dispatched: list[list[RunResult]] | None = None
         if chosen is not None and member_chunks:
             group_specs = [
                 [member.spec for member in chunk] for chunk in member_chunks
             ]
-            workers = resolved.worker_count(len(group_specs))
-            dispatched = chosen.run_groups(self, group_specs, workers)
+            dispatched = chosen.run_groups(self, group_specs)
         if dispatched is not None:
             for chunk, chunk_results in zip(member_chunks, dispatched, strict=True):
                 for member, result in zip(chunk, chunk_results, strict=True):
@@ -798,8 +616,7 @@ class Engine:
                     results[member.index] = result
         if remainder:
             fallback = self.run_many(
-                [specs[index] for index in remainder],
-                policy=resolved,
+                [specs[index] for index in remainder], executor=chosen
             )
             for index, result in zip(remainder, fallback, strict=True):
                 results[index] = result
@@ -813,33 +630,21 @@ class Engine:
         self,
         spec: RunSpec,
         schemes: Sequence[str],
-        parallel: int | bool | None = None,
         executor: "Executor | str | None" = None,
-        *,
-        policy: "ExecutionPolicy | None" = None,
     ) -> dict[str, RunResult]:
         """Run the same spec under several schemes (paired by shared seed).
 
-        Execution resolves through the same :class:`ExecutionPolicy`
-        helper as :meth:`run_many` — ``policy=`` directly, or the legacy
-        ``parallel=``/``executor=`` sugar: ``None``/``False``/``0``/``1``
-        serial, ``True`` one worker per CPU, an integer that many workers,
-        always clamped to ``len(schemes)``; ``executor=None`` keeps the
-        historical serial/pickle-pool split, a name or instance forces
-        that executor.
+        ``executor`` has the same meaning as in :meth:`run_many`.
         """
         results = self.run_many(
-            [spec.replace(scheme=scheme) for scheme in schemes],
-            policy=self._policy(parallel, executor, policy),
+            [spec.replace(scheme=scheme) for scheme in schemes], executor=executor
         )
         return dict(zip(schemes, results))
 
     def sweep(
         self,
         spec: RunSpec,
-        parallel: int | bool | None = None,
         executor: "Executor | str | None" = None,
-        policy: "ExecutionPolicy | None" = None,
         **axes: Iterable[Any],
     ) -> list[RunResult]:
         """Run the cartesian product of field overrides.
@@ -855,52 +660,43 @@ class Engine:
         kernel inputs (registry backends, ``rng_version=2``, explicit
         seeds) are executed as run-stacked groups — one 3-D kernel call (or
         one stacked SSP schedule scan) per group instead of one call per
-        run — and everything else falls back to :meth:`run_many`.  A
-        stackable timing spec with no stack partner runs as a 1-run stack
-        when the fallback would run in-process anyway, so its cluster and
-        strategy are built once.  Stacking
-        never changes results: each run draws from its own seed's
+        run — and everything else falls back to :meth:`run_many`.  Under
+        ``executor=None`` a stackable timing spec with no stack partner
+        runs as a 1-run stack, so its cluster and strategy are built once.
+        Stacking never changes results: each run draws from its own seed's
         per-component streams, so every result is bit-identical to a
         standalone :meth:`run` of the same spec, stacked or not.
 
-        Execution resolves through the same :class:`ExecutionPolicy`
-        helper as :meth:`run_many` — pass ``policy=`` directly, or the
-        legacy ``parallel=``/``executor=`` sugar.  ``parallel`` composes
-        with stacking: under the default ``executor=None``, stacked groups
-        always execute in-process (the batched numpy work gains nothing
-        from a process pool), while the ragged remainder follows
-        :meth:`run_many`'s resolution rule exactly
-        (``None``/``False``/``0``/``1`` serial, ``True`` one worker per
-        CPU, an integer that many workers, clamped to the number of
-        fallback specs); the result list is identical to a serial sweep
-        either way.
-
-        ``executor`` changes *where* the planned units execute and how
-        results travel, never what they are: an explicit executor (name or
+        ``executor`` changes *where* the planned units execute, never what
+        they are.  ``None`` (default) runs everything in-process.  An
+        explicit executor (name or
         :class:`~repro.api.executors.Executor` instance) is offered whole
-        stacked groups as dispatch units — the pool executors move
-        per-group columnar stacks (``process_shm`` via shared memory,
-        ``process`` via pickle) instead of per-run pickles — and the ragged
-        remainder runs through :meth:`run_many` on the same executor.
-        Injected-backend engines and ragged leftovers still fall through to
-        serial under ``executor=None``.  Every executor is bit-identical to
-        ``executor="serial"`` by contract.  ``executor="cached"`` wraps the
-        run store (:mod:`repro.store`): re-running an identical sweep
+        stacked groups as dispatch units — ``"process"`` pickles one
+        result stack per group instead of one result per run — and the
+        ragged remainder, singletons included, runs through
+        :meth:`run_many` on the same executor.  ``executor="cached"`` wraps
+        the run store (:mod:`repro.store`): re-running an identical sweep
         recomputes nothing, so interrupted sweeps resume where they left
         off.
 
         Raises
         ------
         EngineError
-            When an axis is given an empty value list — the cartesian
-            product would silently be empty.
+            When an axis is not a :class:`RunSpec` field, or is given an
+            empty value list — the cartesian product would silently be
+            empty.
         """
-        resolved = self._policy(parallel, executor, policy)
         if not axes:
-            return self.run_many([spec], policy=resolved)
+            return self.run_many([spec], executor=executor)
         names = list(axes)
+        field_names = {field.name for field in fields(RunSpec)}
         value_lists: list[list[Any]] = []
         for name in names:
+            if name not in field_names:
+                raise EngineError(
+                    f"unknown sweep axis {name!r}; sweep axes are RunSpec "
+                    f"fields: {sorted(field_names)}"
+                )
             values = list(axes[name])
             if not values:
                 raise EngineError(
@@ -913,4 +709,4 @@ class Engine:
             spec.replace(**dict(zip(names, values)))
             for values in itertools.product(*value_lists)
         ]
-        return self._run_sweep_specs(specs, policy=resolved)
+        return self._run_sweep_specs(specs, executor=executor)

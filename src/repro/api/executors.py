@@ -1,11 +1,11 @@
-"""Pluggable sweep executors: *what* runs is the engine's job, *how* runs
-execute and how results move back is an :class:`Executor`'s.
+"""Pluggable sweep executors: *what* runs is the engine's job, *where* runs
+execute is an :class:`Executor`'s.
 
 The engine plans a sweep into stacked groups plus a ragged remainder
-(:meth:`repro.api.engine.Engine._run_sweep_specs`); an executor decides
-where those units execute (in-process, thread pool, process pool) and what
-the transport is (nothing, pickled ``RunResult`` objects, or shared-memory
-columnar blocks).  Executors register under short names::
+(:meth:`repro.api.engine.Engine._run_sweep_specs`).  With ``executor=None``
+it runs every unit in-process; that path is the reference.  An explicit
+executor is offered the planned units instead.  Executors register under
+short names::
 
     from repro.api import register_executor
 
@@ -16,39 +16,30 @@ columnar blocks).  Executors register under short names::
     engine.sweep(spec, executor="my_executor", seed=seeds)
 
 The whole contract is **bit-identity**: every executor must return exactly
-the results a serial ``Engine.run`` loop would, in the same order.  Each
-run draws all randomness from its spec's seed, so an executor only moves
-results around — it can never change them.
+the results ``executor=None`` would, in the same order.  Each run draws all
+randomness from its spec's seed, so an executor only moves results around —
+it can never change them.
 
 Builtin executors
 -----------------
-``serial``
-    An in-process loop; the reference everything else is gated against.
 ``process``
     A :class:`~concurrent.futures.ProcessPoolExecutor` returning pickled
-    ``RunResult`` objects (the historical ``parallel=`` transport, which
-    ``parallel=N`` still maps onto).
-``process_shm``
-    The same pool, but workers return traces as one
-    ``multiprocessing.shared_memory`` segment per unit plus a small
-    descriptor; the parent reattaches the columns zero-copy
-    (:meth:`~repro.simulation.trace.TraceColumns.shm_attach`) and unlinks
-    the segment on consume.  Bulk arrays never pass through pickle.
-``thread``
-    A :class:`~concurrent.futures.ThreadPoolExecutor`.  Results already
-    live in shared memory by construction; parallelism requires the
-    free-threaded 3.13t build (or GIL-releasing kernels) to materialise.
+    ``RunResult`` objects; ``ProcessExecutor(workers=N)`` sets the pool size.
+``cached``
+    Answers specs from a run store (:mod:`repro.store`) and computes the
+    misses in-process or through an inner executor.
 """
 
 from __future__ import annotations
 
+import os
 from abc import ABC, abstractmethod
-from collections.abc import Sequence
-from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
-from typing import TYPE_CHECKING, Any
+from collections.abc import Callable, Sequence
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
+from typing import TYPE_CHECKING, Any, TypeVar
 
 from .._registry import EXECUTORS, register_executor
-from ..simulation.trace import RunTrace, ShmReader, ShmWriter, TraceColumns, unlink_shm
 from .result import RunResult
 from .spec import RunSpec
 
@@ -61,26 +52,27 @@ __all__ = [
     "Executor",
     "ExecutorError",
     "ProcessExecutor",
-    "ProcessShmExecutor",
-    "SerialExecutor",
-    "ThreadExecutor",
     "resolve_executor",
 ]
 
+_Payload = TypeVar("_Payload")
+_Output = TypeVar("_Output")
+
 
 class ExecutorError(ValueError):
-    """Raised on invalid executor arguments or registrations."""
+    """Raised on invalid executor arguments or registrations, and when an
+    executor's worker processes fail."""
 
 
 class Executor(ABC):
-    """How a batch of independent runs executes and how results move back.
+    """Where a batch of independent runs executes.
 
     Subclasses implement :meth:`run_specs` (independent runs, e.g. the
     ragged sweep remainder or a plain :meth:`~repro.api.engine.Engine
     .run_many`) and may implement :meth:`run_groups` to take whole stacked
     sweep groups; returning ``None`` from the latter defers to the engine's
     in-process stacked path.  Implementations must preserve input order and
-    return results bit-identical to a serial loop.
+    return results bit-identical to ``executor=None``.
     """
 
     #: Registry name (informational; set on the builtin subclasses).
@@ -90,13 +82,11 @@ class Executor(ABC):
     requires_subprocess: bool = False
 
     @abstractmethod
-    def run_specs(
-        self, engine: Engine, specs: Sequence[RunSpec], workers: int
-    ) -> list[RunResult]:
+    def run_specs(self, engine: Engine, specs: Sequence[RunSpec]) -> list[RunResult]:
         """Execute independent specs, one result per spec, in order."""
 
     def run_groups(
-        self, engine: Engine, groups: Sequence[list[RunSpec]], workers: int
+        self, engine: Engine, groups: Sequence[list[RunSpec]]
     ) -> list[list[RunResult]] | None:
         """Execute whole stacked sweep groups (one unit per group).
 
@@ -127,249 +117,107 @@ def resolve_executor(executor: Executor | str | None) -> Executor | None:
     )
 
 
-def _pool_size(workers: int, num_units: int) -> int:
-    return max(1, min(workers, num_units))
-
-
 # ---------------------------------------------------------------------------
 # subprocess entry points (module-level so they pickle under every start
 # method; each worker rebuilds a fresh registry-backed Engine, and every
 # run draws all randomness from its spec's seed — bit-identical by design)
 # ---------------------------------------------------------------------------
 
+def _run_spec_in_subprocess(spec_dict: dict[str, Any]) -> RunResult:
+    """Execute one serialised spec in a worker process."""
+    from .engine import Engine
+
+    return Engine().run(RunSpec.from_dict(spec_dict))
+
+
 def _run_group_in_subprocess(spec_dicts: list[dict[str, Any]]) -> list[RunResult]:
-    """Execute one stacked sweep group in a worker; results return pickled."""
+    """Execute one stacked sweep group in a worker process."""
     from .engine import Engine
 
     specs = [RunSpec.from_dict(spec_dict) for spec_dict in spec_dicts]
-    return Engine()._run_sweep_specs(specs, parallel=None)
-
-
-def _export_results_to_shm(results: Sequence[RunResult]) -> dict[str, Any]:
-    """Pack a unit's traces into ONE shared-memory segment + descriptor.
-
-    The descriptor carries only small picklable pieces (placement specs,
-    scheme/cluster names, metadata, the metrics dict); the bulk columns
-    live in the segment.  Metrics are shipped rather than recomputed:
-    :meth:`RunResult.from_trace` derives them purely from the trace, so the
-    worker's values are exactly what the parent would compute.
-    """
-    writer = ShmWriter()
-    runs: list[dict[str, Any]] = []
-    for result in results:
-        trace = result.trace
-        runs.append(
-            {
-                "scheme": trace.scheme,
-                "cluster_name": trace.cluster_name,
-                "metadata": trace.metadata,
-                "metrics": result.metrics,
-                "columns": trace.columns().shm_export(writer),
-            }
-        )
-    segment, nbytes = writer.create()
-    return {"segment": segment, "nbytes": nbytes, "runs": runs}
-
-
-def _attach_results_from_shm(
-    payload: dict[str, Any], specs: Sequence[RunSpec]
-) -> list[RunResult]:
-    """Rebuild a unit's results zero-copy, consuming (unlinking) its segment."""
-    reader = ShmReader(payload["segment"])
-    results: list[RunResult] = []
-    try:
-        for spec, run in zip(specs, payload["runs"], strict=True):
-            columns = TraceColumns.shm_attach(reader, run["columns"])
-            trace = RunTrace.from_columns(
-                run["scheme"],
-                run["cluster_name"],
-                columns,
-                metadata=run["metadata"],
-            )
-            results.append(
-                RunResult(spec=spec, trace=trace, metrics=dict(run["metrics"]))
-            )
-    finally:
-        reader.consume()
-    return results
-
-
-def _run_group_to_shm(spec_dicts: list[dict[str, Any]]) -> dict[str, Any]:
-    """Execute one stacked sweep group; results return via shared memory."""
-    from .engine import Engine
-
-    specs = [RunSpec.from_dict(spec_dict) for spec_dict in spec_dicts]
-    return _export_results_to_shm(Engine()._run_sweep_specs(specs, parallel=None))
-
-
-def _gather(
-    futures: Sequence[Future[Any]],
-) -> tuple[list[Any], BaseException | None]:
-    """Resolve every future (no early abandon), returning outputs + first error.
-
-    Draining all futures even after a failure is what lets the shm executor
-    unlink segments that *healthy* workers already published when a sibling
-    worker dies — nothing is left for the resource tracker to mop up.
-    """
-    outputs: list[Any] = []
-    error: BaseException | None = None
-    for future in futures:
-        try:
-            outputs.append(future.result())
-        except BaseException as exc:  # noqa: B036 - pool errors, re-raised below
-            if error is None:
-                error = exc
-            outputs.append(None)
-    return outputs, error
+    return Engine()._run_sweep_specs(specs)
 
 
 # ---------------------------------------------------------------------------
 # builtin executors
 # ---------------------------------------------------------------------------
 
-@register_executor("serial", description="in-process loop; the reference executor")
-class SerialExecutor(Executor):
-    """Run everything in-process; the reference all others are gated on."""
-
-    name = "serial"
-
-    def run_specs(
-        self, engine: Engine, specs: Sequence[RunSpec], workers: int
-    ) -> list[RunResult]:
-        return [engine.run(spec) for spec in specs]
-
-
-@register_executor(
-    "thread", description="thread pool; zero transport, needs no-GIL to scale"
-)
-class ThreadExecutor(Executor):
-    """Run units on a thread pool.
-
-    Transport is free (results are shared memory by construction) and
-    injected backends work, but parallel *speedup* needs the free-threaded
-    3.13t build or kernels that release the GIL.
-    """
-
-    name = "thread"
-
-    def run_specs(
-        self, engine: Engine, specs: Sequence[RunSpec], workers: int
-    ) -> list[RunResult]:
-        if workers <= 1 or len(specs) <= 1:
-            return [engine.run(spec) for spec in specs]
-        with ThreadPoolExecutor(max_workers=_pool_size(workers, len(specs))) as pool:
-            return list(pool.map(engine.run, specs))
-
-    def run_groups(
-        self, engine: Engine, groups: Sequence[list[RunSpec]], workers: int
-    ) -> list[list[RunResult]] | None:
-        if workers <= 1 or len(groups) <= 1:
-            return None  # a single group gains nothing over in-process
-        def run_group(specs: list[RunSpec]) -> list[RunResult]:
-            return engine._run_sweep_specs(specs, parallel=None)
-
-        with ThreadPoolExecutor(max_workers=_pool_size(workers, len(groups))) as pool:
-            return list(pool.map(run_group, groups))
-
-
-@register_executor(
-    "process", description="process pool, pickled results (the PR 2 transport)"
-)
+@register_executor("process", description="process pool, pickled results")
 class ProcessExecutor(Executor):
-    """Process pool with pickle transport — today's ``parallel=`` behaviour.
+    """Process pool; workers pickle whole ``RunResult`` objects back.
 
-    Workers pickle whole ``RunResult`` objects (bulk numpy columns
-    included) back through the pool's result pipe.
+    ``workers`` is the pool size; ``None`` means one worker per CPU
+    available to this process.  Either way the pool is clamped to the
+    number of dispatch units, so it never spawns idle workers.
+
+    A pool only pays off when per-unit work outweighs fork and pickle
+    costs.  Measured on 2 vCPUs with ``workers=2`` against the in-process
+    path (``executor=None``), it wins on the 7-protocol softmax compare
+    (1.21 s vs 1.7–2.1 s) and loses on the Fig. 2a sweep (1.53 vs 0.85 s)
+    and the Table II sweep (0.83 vs 0.38 s).  On the 7-protocol MLP
+    compare it is 2–10× slower (5.6–31 s from run to run, vs 3.3–3.5 s)
+    because of BLAS oversubscription: each forked worker keeps a full
+    OpenBLAS thread pool.  With ``OPENBLAS_NUM_THREADS=1`` the same
+    compare takes 2.3–3.3 s under ``process`` against 4.0–4.6 s
+    in-process.
+
+    A worker that dies (a crash, ``os._exit``, the OOM killer) breaks the
+    pool; the dispatch then raises :class:`ExecutorError` chained from the
+    pool's ``BrokenProcessPool``, and no partial result is returned.
     """
 
     name = "process"
     requires_subprocess = True
 
-    def run_specs(
-        self, engine: Engine, specs: Sequence[RunSpec], workers: int
-    ) -> list[RunResult]:
-        from .engine import _run_spec_in_subprocess
+    def __init__(self, workers: int | None = None) -> None:
+        if workers is not None and (isinstance(workers, bool) or workers < 1):
+            raise ExecutorError(
+                "ProcessExecutor workers must be a positive int or None; "
+                f"got {workers!r}"
+            )
+        self.workers = workers
 
-        payloads = [spec.to_dict() for spec in specs]
-        with ProcessPoolExecutor(
-            max_workers=_pool_size(workers, len(payloads))
-        ) as pool:
-            return list(pool.map(_run_spec_in_subprocess, payloads))
+    def pool_size(self, num_units: int) -> int:
+        """Workers for a batch of ``num_units`` dispatch units.
 
-    def run_groups(
-        self, engine: Engine, groups: Sequence[list[RunSpec]], workers: int
-    ) -> list[list[RunResult]] | None:
-        payloads = [[spec.to_dict() for spec in group] for group in groups]
-        with ProcessPoolExecutor(
-            max_workers=_pool_size(workers, len(payloads))
-        ) as pool:
-            return list(pool.map(_run_group_in_subprocess, payloads))
+        With ``workers=None`` this counts the CPUs available to *this*
+        process: ``os.process_cpu_count`` (3.13+) respects the scheduling
+        affinity mask, so containers pinned to a CPU subset get the right
+        pool size; ``os.cpu_count`` is the fallback on older interpreters.
+        """
+        workers = self.workers
+        if workers is None:
+            process_cpu_count = getattr(os, "process_cpu_count", None)
+            count = process_cpu_count() if process_cpu_count is not None else None
+            workers = count or os.cpu_count() or 1
+        return max(1, min(workers, num_units))
 
-
-@register_executor(
-    "process_shm",
-    description="process pool, shared-memory columnar transport (zero-copy attach)",
-)
-class ProcessShmExecutor(Executor):
-    """Process pool whose results come back as shared-memory columns.
-
-    Workers execute a whole unit (a stacked group, or a single run), pack
-    every trace's columns into one ``multiprocessing.shared_memory``
-    segment, and return only a small descriptor; the parent reattaches the
-    arrays zero-copy and unlinks the segment immediately.  Segment
-    ownership is explicit: consume-side unlink on success, an unconditional
-    descriptor sweep on failure, and the stdlib resource tracker as the
-    backstop for workers that die mid-publish.
-    """
-
-    name = "process_shm"
-    requires_subprocess = True
-
-    def run_specs(
-        self, engine: Engine, specs: Sequence[RunSpec], workers: int
-    ) -> list[RunResult]:
-        grouped = self._dispatch([[spec] for spec in specs], workers)
-        return [results[0] for results in grouped]
+    def run_specs(self, engine: Engine, specs: Sequence[RunSpec]) -> list[RunResult]:
+        return self._map(
+            _run_spec_in_subprocess, [spec.to_dict() for spec in specs]
+        )
 
     def run_groups(
-        self, engine: Engine, groups: Sequence[list[RunSpec]], workers: int
+        self, engine: Engine, groups: Sequence[list[RunSpec]]
     ) -> list[list[RunResult]] | None:
-        return self._dispatch(groups, workers)
+        return self._map(
+            _run_group_in_subprocess,
+            [[spec.to_dict() for spec in group] for group in groups],
+        )
 
-    def _dispatch(
-        self, groups: Sequence[list[RunSpec]], workers: int
-    ) -> list[list[RunResult]]:
-        from multiprocessing import resource_tracker
-
-        # Start the stdlib resource tracker in the parent BEFORE the pool
-        # forks: children then inherit it, so worker-side segment
-        # registrations and the parent's unlink-unregistrations balance in
-        # one ledger.  Otherwise each worker lazily starts a private
-        # tracker that warns about already-consumed segments at exit.
-        resource_tracker.ensure_running()
-        payloads = [[spec.to_dict() for spec in group] for group in groups]
-        with ProcessPoolExecutor(
-            max_workers=_pool_size(workers, len(payloads))
-        ) as pool:
-            futures = [pool.submit(_run_group_to_shm, payload) for payload in payloads]
-            outputs, error = _gather(futures)
-        if error is not None:
-            for output in outputs:
-                if output is not None:
-                    unlink_shm(output)
-            raise error
-        grouped: list[list[RunResult]] = []
-        try:
-            for output, group in zip(outputs, groups, strict=True):
-                grouped.append(_attach_results_from_shm(output, group))
-        except BaseException:
-            # _attach_results_from_shm consumes its own segment even on
-            # failure; sweep the not-yet-attached rest (unlink_shm tolerates
-            # the already-consumed one at index len(grouped)).
-            for output in outputs[len(grouped) :]:
-                unlink_shm(output)
-            raise
-        return grouped
+    def _map(
+        self, function: Callable[[_Payload], _Output], payloads: list[_Payload]
+    ) -> list[_Output]:
+        if not payloads:
+            return []
+        with ProcessPoolExecutor(max_workers=self.pool_size(len(payloads))) as pool:
+            try:
+                return list(pool.map(function, payloads))
+            except BrokenProcessPool as exc:
+                raise ExecutorError(
+                    f"executor {self.name!r}: a worker process died before "
+                    "returning its results"
+                ) from exc
 
 
 @register_executor(
@@ -382,11 +230,12 @@ class CachedExecutor(Executor):
     Wraps any inner executor (default: the engine's normal in-process
     paths).  Every spec with an explicit seed is fingerprinted and looked
     up first; hits come back from disk (JSON-exact by the store contract),
-    misses run through the inner executor — keeping its stacking and
-    transport behaviour — and are written back.  Re-running an identical
-    sweep therefore performs zero recomputation: the sweep is *resumable*,
-    and partial progress (e.g. an interrupted sweep's completed groups)
-    is never repeated.
+    misses run through the inner executor — keeping its stacking
+    behaviour — and are written back.  Re-running an identical sweep
+    therefore performs zero recomputation: the sweep is *resumable*, and
+    partial progress (e.g. an interrupted sweep's completed groups) is
+    never repeated.  A dispatch whose inner executor raises writes none of
+    its results.
 
     Specs with ``seed=None`` draw fresh OS entropy per run, so caching
     them would change semantics; they bypass the store entirely and are
@@ -432,9 +281,7 @@ class CachedExecutor(Executor):
         fingerprint = spec.fingerprint()
         return fingerprint, self.store.get(fingerprint)
 
-    def run_specs(
-        self, engine: Engine, specs: Sequence[RunSpec], workers: int
-    ) -> list[RunResult]:
+    def run_specs(self, engine: Engine, specs: Sequence[RunSpec]) -> list[RunResult]:
         results: list[RunResult | None] = [None] * len(specs)
         miss_indices: list[int] = []
         keys: list[str | None] = []
@@ -453,7 +300,7 @@ class CachedExecutor(Executor):
         if miss_indices:
             miss_specs = [specs[index] for index in miss_indices]
             if self.inner is not None:
-                computed = self.inner.run_specs(engine, miss_specs, workers)
+                computed = self.inner.run_specs(engine, miss_specs)
             else:
                 computed = [engine.run(spec) for spec in miss_specs]
             for index, result in zip(miss_indices, computed, strict=True):
@@ -464,7 +311,7 @@ class CachedExecutor(Executor):
         return [result for result in results if result is not None]
 
     def run_groups(
-        self, engine: Engine, groups: Sequence[list[RunSpec]], workers: int
+        self, engine: Engine, groups: Sequence[list[RunSpec]]
     ) -> list[list[RunResult]] | None:
         # Unlike the other executors this one never declines: returning
         # None would send every group — hits included — down the engine's
@@ -493,14 +340,13 @@ class CachedExecutor(Executor):
         if miss_groups:
             computed: list[list[RunResult]] | None = None
             if self.inner is not None:
-                computed = self.inner.run_groups(engine, miss_groups, workers)
+                computed = self.inner.run_groups(engine, miss_groups)
             if computed is None:
                 # Inner declined (or no inner): the engine's in-process
                 # stacked path.  A miss subset of a homogeneous group is
                 # still homogeneous, so stacking is preserved.
                 computed = [
-                    engine._run_sweep_specs(miss_group, parallel=None)
-                    for miss_group in miss_groups
+                    engine._run_sweep_specs(miss_group) for miss_group in miss_groups
                 ]
             flat = [result for unit in computed for result in unit]
             for (group_index, position, fingerprint), result in zip(

@@ -38,6 +38,7 @@ from .api.result import json_default
 from .api.registry import (
     CLUSTERS,
     EXECUTION_BACKENDS,
+    EXECUTORS,
     NETWORK_MODELS,
     PROTOCOLS,
     SCHEMES,
@@ -171,8 +172,8 @@ def build_parser() -> argparse.ArgumentParser:
                           "single stream, 2 = per-component batched streams "
                           "(faster, statistically equivalent)")
     run.add_argument("--executor", default=None, metavar="NAME",
-                     help="registered sweep executor to route the run through "
-                          "(serial, process, process_shm, thread, cached); "
+                     help="registered executor to route the run through "
+                          f"({', '.join(EXECUTORS.names())}); "
                           "default runs in-process")
     run.add_argument("--store", default=None, metavar="DIR",
                      help="answer the run from this run-store directory when "

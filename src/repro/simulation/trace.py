@@ -20,7 +20,6 @@ unchanged and byte-identical to the record-based layout.
 
 from __future__ import annotations
 
-import contextlib
 import dataclasses
 import warnings
 from dataclasses import dataclass
@@ -33,11 +32,8 @@ __all__ = [
     "IterationRecord",
     "RaggedColumn",
     "RunTrace",
-    "ShmReader",
-    "ShmWriter",
     "TraceColumns",
     "UnknownTraceFieldWarning",
-    "unlink_shm",
 ]
 
 
@@ -310,56 +306,23 @@ class RaggedColumn:
         """Per-row lengths (absent rows count as 0)."""
         return np.diff(self.offsets)
 
-    def shm_export(self, writer: "ShmWriter") -> dict:
+    def pack(self, writer: "BytesWriter") -> dict:
         """Pack this column's arrays into ``writer``; returns its descriptor."""
-        descriptor = {
+        return {
             "offsets": writer.add(self.offsets),
             "values": writer.add(self.values),
             "present": None if self.present is None else writer.add(self.present),
         }
-        return descriptor
 
     @classmethod
-    def shm_attach(
-        cls, reader: "ShmReader | BytesReader", descriptor: dict
-    ) -> "RaggedColumn":
-        """Rebuild a column zero-copy from a :meth:`shm_export` descriptor."""
+    def unpack(cls, reader: "BytesReader", descriptor: dict) -> "RaggedColumn":
+        """Rebuild a column zero-copy from a :meth:`pack` descriptor."""
         present = descriptor["present"]
         return cls(
             reader.array(descriptor["offsets"]),
             reader.array(descriptor["values"]),
             None if present is None else reader.array(present),
         )
-
-    def to_shm(self) -> dict:
-        """Export into a fresh single-column segment.
-
-        Returns a self-contained transport descriptor; the caller owns the
-        segment until :meth:`from_shm` consumes it (or :func:`unlink_shm`
-        discards it).
-        """
-        writer = ShmWriter()
-        column = self.shm_export(writer)
-        segment, nbytes = writer.create()
-        return {"segment": segment, "nbytes": nbytes, "column": column}
-
-    @classmethod
-    def from_shm(cls, descriptor: dict, consume: bool = True) -> "RaggedColumn":
-        """Attach to a :meth:`to_shm` descriptor (unlinking it by default).
-
-        With ``consume=False`` the segment survives for further consumers;
-        whoever attaches last must pass ``consume=True`` (or call
-        :func:`unlink_shm`) or the segment leaks until interpreter exit.
-        """
-        reader = ShmReader(descriptor["segment"])
-        try:
-            column = cls.shm_attach(reader, descriptor["column"])
-        finally:
-            if consume:
-                reader.consume()
-            else:
-                reader.close()
-        return column
 
     def tuples(self) -> tuple:
         """The historical tuple-of-tuples view (lazy, cached, row-interned)."""
@@ -399,58 +362,24 @@ def _as_ragged(rows, nullable: bool) -> RaggedColumn:
 
 
 # ----------------------------------------------------------------------
-# shared-memory transport
+# byte packing
 # ----------------------------------------------------------------------
 #
-# Columns are flat numpy arrays, so a whole run — or a whole stacked sweep
-# group — packs into ONE ``multiprocessing.shared_memory`` segment plus a
-# small picklable descriptor (offsets/shapes/dtypes).  The pool executors in
-# :mod:`repro.api.executors` use this to move results between processes
-# without pickling bulk arrays: the worker copies columns into a segment,
-# the parent attaches zero-copy views.
-#
-# Lifetime ownership is explicit and single-consumer:
-#
-# - The *producer* (pool worker) creates the segment via :class:`ShmWriter`
-#   and closes its own mapping immediately; the segment stays registered
-#   with the resource tracker, so a worker that dies before the parent
-#   attaches leaves nothing behind past interpreter shutdown.
-# - The *consumer* (parent) attaches via :class:`ShmReader`, builds
-#   read-only views, then calls :meth:`ShmReader.consume` — which unlinks
-#   the segment.  POSIX keeps the pages alive until the last mapping goes
-#   away, and the views hold a buffer export on the reader's mapping, so
-#   consumed arrays stay valid for their whole life while ``/dev/shm`` is
-#   clean the moment ``consume`` returns.
+# Columns are flat numpy arrays, so a whole run packs into ONE byte payload
+# plus a small JSON descriptor (offsets/shapes/dtypes).  The run store
+# (:mod:`repro.store`) persists both; reading back builds zero-copy views.
 
-#: Segment offsets are aligned so every packed array starts on a cache-line
+#: Payload offsets are aligned so every packed array starts on a cache-line
 #: boundary regardless of the dtypes packed before it.
-_SHM_ALIGN = 64
+_PACK_ALIGN = 64
 
 
-def _release_shm_handle(shm) -> None:
-    """Drop a ``SharedMemory`` handle without tearing down its mapping.
-
-    Attached arrays keep the mapping's memoryview alive through their
-    buffer exports; ``SharedMemory.close`` would try to release that
-    memoryview and raise ``BufferError`` (and ``__del__`` would warn) while
-    any array exists.  Detaching the private buffer references leaves the
-    mapping's teardown to the arrays' own garbage collection and closes
-    only the now-unneeded file descriptor.
-    """
-    shm._buf = None
-    shm._mmap = None
-    with contextlib.suppress(BufferError, OSError):  # platform-defensive
-        shm.close()
-
-
-class ShmWriter:
-    """Pack read-only arrays into one shared-memory segment.
+class BytesWriter:
+    """Pack read-only arrays into one plain ``bytes`` payload.
 
     Call :meth:`add` once per array — it returns the array's placement
-    *spec* (offset/shape/dtype, a plain picklable dict) and defers the
-    copy — then :meth:`create` once to allocate the segment and copy
-    everything in.  The writer closes its own mapping before returning, so
-    producer-side there is nothing further to clean up.
+    *spec* (offset/shape/dtype, a plain JSON-able dict) and defers the
+    copy — then :meth:`getvalue` once.
     """
 
     def __init__(self) -> None:
@@ -466,100 +395,8 @@ class ShmWriter:
             "dtype": array.dtype.str,
         }
         self._pending.append((spec, array))
-        self._cursor += -(-array.nbytes // _SHM_ALIGN) * _SHM_ALIGN
+        self._cursor += -(-array.nbytes // _PACK_ALIGN) * _PACK_ALIGN
         return spec
-
-    def create(self) -> tuple[str, int]:
-        """Allocate the segment, copy every added array, close the mapping.
-
-        Returns ``(segment_name, nbytes)`` for the transport descriptor.
-        On a copy failure the segment is unlinked before re-raising, so no
-        orphan survives a crashing producer.
-        """
-        from multiprocessing import shared_memory
-
-        nbytes = max(1, self._cursor)
-        shm = shared_memory.SharedMemory(create=True, size=nbytes)
-        try:
-            for spec, array in self._pending:
-                if array.size:
-                    view = np.frombuffer(
-                        shm.buf,
-                        dtype=array.dtype,
-                        count=array.size,
-                        offset=spec["offset"],
-                    )
-                    view[:] = array.reshape(-1)
-                    del view
-        except BaseException:
-            shm.close()
-            shm.unlink()
-            raise
-        name = shm.name
-        shm.close()
-        return name, nbytes
-
-
-class ShmReader:
-    """Attach to a packed segment and expose its arrays zero-copy.
-
-    The returned arrays are read-only views over the shared mapping; they
-    remain valid after :meth:`consume` (the pages live until the views are
-    garbage-collected), but the segment itself is unlinked — exactly-once
-    consumption is the caller's contract.
-    """
-
-    def __init__(self, segment: str) -> None:
-        from multiprocessing import shared_memory
-
-        self._shm = shared_memory.SharedMemory(name=segment)
-
-    def array(self, spec: dict) -> np.ndarray:
-        """The array packed at ``spec``, as a read-only zero-copy view."""
-        if self._shm is None:
-            raise TraceError("ShmReader used after consume()/close()")
-        shape = tuple(spec["shape"])
-        count = 1
-        for dim in shape:
-            count *= dim
-        view = np.frombuffer(
-            self._shm.buf,
-            dtype=np.dtype(spec["dtype"]),
-            count=count,
-            offset=spec["offset"],
-        )
-        return _readonly(view.reshape(shape))
-
-    def consume(self) -> None:
-        """Unlink the segment and release this reader (views stay valid)."""
-        shm = self._shm
-        if shm is None:
-            return
-        self._shm = None
-        with contextlib.suppress(FileNotFoundError):  # double-consume race
-            shm.unlink()
-        _release_shm_handle(shm)
-
-    def close(self) -> None:
-        """Release without unlinking (the segment survives for another
-        consumer; pair with :func:`unlink_shm` eventually)."""
-        shm = self._shm
-        if shm is None:
-            return
-        self._shm = None
-        _release_shm_handle(shm)
-
-
-class BytesWriter(ShmWriter):
-    """Pack read-only arrays into one plain ``bytes`` payload.
-
-    Identical placement specs (offset/shape/dtype, cache-line aligned) to
-    the shared-memory transport, but the destination is an ordinary byte
-    string instead of a ``SharedMemory`` segment — this is the binary
-    export the on-disk run store (:mod:`repro.store`) persists next to its
-    JSON descriptors.  Call :meth:`~ShmWriter.add` per array, then
-    :meth:`getvalue` once.
-    """
 
     def getvalue(self) -> bytes:
         """The packed payload for every added array."""
@@ -575,8 +412,7 @@ class BytesReader:
     """Read arrays back from a :class:`BytesWriter` payload.
 
     The returned arrays are read-only zero-copy views over the payload
-    buffer, mirroring :class:`ShmReader` — the same ``shm_attach``
-    descriptors drive both transports.
+    buffer.
     """
 
     def __init__(self, data: bytes) -> None:
@@ -595,24 +431,6 @@ class BytesReader:
             offset=spec["offset"],
         )
         return _readonly(view.reshape(shape))
-
-
-def unlink_shm(descriptor: dict) -> None:
-    """Unlink a descriptor's segment without attaching to its contents.
-
-    Error-path cleanup: tolerant of segments already consumed or never
-    created (``FileNotFoundError``), so callers can sweep every outstanding
-    descriptor unconditionally.
-    """
-    from multiprocessing import shared_memory
-
-    try:
-        shm = shared_memory.SharedMemory(name=descriptor["segment"])
-    except FileNotFoundError:
-        return
-    with contextlib.suppress(FileNotFoundError):  # concurrent unlink
-        shm.unlink()
-    shm.close()
 
 
 @dataclass(frozen=True)
@@ -752,47 +570,40 @@ class TraceColumns:
             used_groups=RaggedColumn.concatenate([b.used_groups for b in blocks]),
         )
 
-    def shm_export(self, writer: "ShmWriter") -> dict:
-        """Pack every column into ``writer``; returns the block descriptor.
-
-        Multiple blocks (a whole sweep group) can share one writer — and
-        hence one segment — each yielding its own descriptor.
-        """
+    def pack(self, writer: BytesWriter) -> dict:
+        """Pack every column into ``writer``; returns the block descriptor."""
         return {
             "iterations": writer.add(self.iterations),
             "durations": writer.add(self.durations),
             "train_losses": writer.add(self.train_losses),
             "compute_times": writer.add(self.compute_times),
             "completion_times": writer.add(self.completion_times),
-            "workers_used": self.workers_used.shm_export(writer),
-            "used_groups": self.used_groups.shm_export(writer),
+            "workers_used": self.workers_used.pack(writer),
+            "used_groups": self.used_groups.pack(writer),
         }
 
     @classmethod
-    def shm_attach(
-        cls, reader: "ShmReader | BytesReader", descriptor: dict
-    ) -> "TraceColumns":
-        """Rebuild a block zero-copy from a :meth:`shm_export` descriptor."""
+    def unpack(cls, reader: BytesReader, descriptor: dict) -> "TraceColumns":
+        """Rebuild a block zero-copy from a :meth:`pack` descriptor."""
         return cls(
             iterations=reader.array(descriptor["iterations"]),
             durations=reader.array(descriptor["durations"]),
             train_losses=reader.array(descriptor["train_losses"]),
             compute_times=reader.array(descriptor["compute_times"]),
             completion_times=reader.array(descriptor["completion_times"]),
-            workers_used=RaggedColumn.shm_attach(reader, descriptor["workers_used"]),
-            used_groups=RaggedColumn.shm_attach(reader, descriptor["used_groups"]),
+            workers_used=RaggedColumn.unpack(reader, descriptor["workers_used"]),
+            used_groups=RaggedColumn.unpack(reader, descriptor["used_groups"]),
         )
 
     def to_bytes(self) -> tuple[dict, bytes]:
         """Pack every column into one binary payload plus its descriptor.
 
-        The descriptor is the exact :meth:`shm_export` shape (plain JSON
-        data: offsets, shapes, dtype strings) and the payload is the
-        :class:`BytesWriter` packing — the persistent twin of the
-        shared-memory transport, used by the on-disk run store.
+        The descriptor is plain JSON data (offsets, shapes, dtype strings)
+        and the payload is the :class:`BytesWriter` packing; the on-disk
+        run store persists both.
         """
         writer = BytesWriter()
-        descriptor = self.shm_export(writer)
+        descriptor = self.pack(writer)
         return descriptor, writer.getvalue()
 
     @classmethod
@@ -803,28 +614,7 @@ class TraceColumns:
         round-trip is bit-exact (the arrays are stored raw, never through
         a decimal representation).
         """
-        return cls.shm_attach(BytesReader(data), descriptor)
-
-    def to_shm(self) -> dict:
-        """Export into a fresh single-block segment (see
-        :meth:`RaggedColumn.to_shm` for the ownership contract)."""
-        writer = ShmWriter()
-        columns = self.shm_export(writer)
-        segment, nbytes = writer.create()
-        return {"segment": segment, "nbytes": nbytes, "columns": columns}
-
-    @classmethod
-    def from_shm(cls, descriptor: dict, consume: bool = True) -> "TraceColumns":
-        """Attach to a :meth:`to_shm` descriptor (unlinking it by default)."""
-        reader = ShmReader(descriptor["segment"])
-        try:
-            columns = cls.shm_attach(reader, descriptor["columns"])
-        finally:
-            if consume:
-                reader.consume()
-            else:
-                reader.close()
-        return columns
+        return cls.unpack(BytesReader(data), descriptor)
 
     def materialize_records(self) -> "list[IterationRecord]":
         """Build the per-iteration record objects (the compatibility view)."""
@@ -1034,9 +824,9 @@ class RunTrace:
 
         Unlike :meth:`from_arrays` — which synthesizes the iteration index
         column — this preserves ``columns.iterations`` exactly, so a trace
-        reconstructed from a shared-memory descriptor
-        (:meth:`TraceColumns.from_shm`) is bit-identical to its source
-        whatever iteration numbering the source carried.
+        read back from the run store (:meth:`TraceColumns.from_bytes`) is
+        bit-identical to its source whatever iteration numbering the
+        source carried.
         """
         trace = cls(scheme=scheme, cluster_name=cluster_name, metadata=metadata)
         trace._base = columns

@@ -533,8 +533,8 @@ class TimingKernelCache:
         self.hits = 0
         self.misses = 0
         self._kernels: OrderedDict[tuple, TimingTraceKernel] = OrderedDict()
-        # The process-wide default cache is shared by the thread executor's
-        # workers; one lock keeps the LRU bookkeeping coherent there.  Cached
+        # The process-wide default cache is shared by ``repro serve``'s
+        # request threads; one lock keeps the LRU bookkeeping coherent there.  Cached
         # kernels themselves are safe to *use* concurrently only insofar as
         # their memoised decode decisions are append-only dict writes.
         self._lock = threading.Lock()

@@ -154,12 +154,12 @@ class TestUncacheable:
 class TestInnerExecutor:
     def test_wraps_inner_transport(self, engine, store, timing_spec):
         seeds = [0, 1, 2, 3]
-        cold = CachedExecutor(inner="process_shm", store=store)
+        cold = CachedExecutor(inner="process", store=store)
         assert cold.requires_subprocess
         cold_results = engine.sweep(timing_spec, executor=cold, seed=seeds)
         assert (cold.hits, cold.misses) == (0, 4)
 
-        warm = CachedExecutor(inner="process_shm", store=store)
+        warm = CachedExecutor(inner="process", store=store)
         warm_results = engine.sweep(timing_spec, executor=warm, seed=seeds)
         assert (warm.hits, warm.misses) == (4, 0)
         assert results_json(warm_results) == results_json(cold_results)

@@ -1,61 +1,72 @@
-"""Pluggable executors: every transport is bit-identical to serial.
+"""Pluggable executors: every executor is bit-identical to ``executor=None``.
 
-The executor layer decides where runs execute and how results move back
-(in-process, pickled ``RunResult`` objects, shared-memory columns); the
-whole contract is that none of that is visible in the results.  These tests
-serialise results to JSON (NaN-safe) and demand exact textual equality
-across every builtin executor, for stacked timing sweeps, stacked training
-sweeps and ragged mixed sweeps alike — plus the lifetime contract: no
-``/dev/shm`` segment survives a completed sweep.
+The executor layer decides where runs execute (in-process, a process pool,
+the run store); the whole contract is that none of that is visible in the
+results.  These tests serialise results to JSON and demand exact textual
+equality between the in-process default and every builtin executor, for
+stacked timing sweeps, stacked training sweeps, ragged mixed sweeps,
+``run_many`` and ``compare`` alike — plus the failure contract: a pool
+worker that dies surfaces as a named :class:`ExecutorError`, and a
+``cached`` sweep that hits it writes nothing to its store.
 """
 
 from __future__ import annotations
 
-import gc
-import json
+import inspect
+import multiprocessing
 import os
+import subprocess
+import sys
+from concurrent.futures.process import BrokenProcessPool
+from pathlib import Path
 
 import pytest
 
 from repro.api import (
+    EXECUTION_BACKENDS,
     EXECUTORS,
+    CachedExecutor,
     Engine,
     Executor,
     ExecutorError,
-    ProcessShmExecutor,
+    ProcessExecutor,
     RunSpec,
-    SerialExecutor,
     StragglerSpec,
     register_executor,
 )
-from repro.api.engine import EngineError, _available_cpu_count
+from repro.api.engine import EngineError
 from repro.api.executors import resolve_executor
 from repro.api.registry import RegistryError
+from repro.store import FileRunStore
 
-ALL_EXECUTORS = ("serial", "process", "process_shm", "thread")
+#: The builtin executors under test: the pool, and the store wrapped
+#: around the pool.  Both are checked against ``executor=None``.
+EXECUTOR_CASES = ("process", "cached_process")
 
-_SHM_DIR = "/dev/shm"
-
-
-def shm_segments() -> set:
-    if not os.path.isdir(_SHM_DIR):  # pragma: no cover - non-Linux fallback
-        return set()
-    return {name for name in os.listdir(_SHM_DIR) if name.startswith("psm_")}
+_SRC = Path(__file__).resolve().parents[2] / "src"
 
 
-@pytest.fixture(autouse=True)
-def no_leaked_segments():
-    before = shm_segments()
-    yield
-    gc.collect()
-    leaked = shm_segments() - before
-    assert not leaked, f"leaked shared-memory segments: {sorted(leaked)}"
+def results_json(results) -> list[str]:
+    # to_json (json_default): the store round-trip normalises numpy scalars
+    # to Python ones, exactly as JSON does.
+    return [r.to_json() for r in results]
 
 
-def results_json(results) -> str:
-    return json.dumps(
-        [r.to_dict() for r in results], default=repr, sort_keys=True
-    )
+def make_executor(case: str, tmp_path: Path) -> Executor:
+    if case == "process":
+        return ProcessExecutor()
+    return CachedExecutor(inner="process", store=FileRunStore(tmp_path / "store"))
+
+
+def check_against_reference(case, tmp_path, reference, execute) -> None:
+    """``execute(executor)`` must reproduce ``reference``; a cached executor
+    must do so cold (computed through its pool) and warm (from the store)."""
+    executor = make_executor(case, tmp_path)
+    assert results_json(execute(executor)) == results_json(reference)
+    if isinstance(executor, CachedExecutor):
+        warm = CachedExecutor(store=executor.store)
+        assert results_json(execute(warm)) == results_json(reference)
+        assert warm.misses == 0 and warm.hits == executor.misses
 
 
 @pytest.fixture(scope="module")
@@ -66,7 +77,7 @@ def engine() -> Engine:
 @pytest.fixture(scope="module")
 def timing_spec() -> RunSpec:
     # rng_version=2 + explicit seed: the sweep planner stacks these, so the
-    # executors are offered whole groups, exercising the group transport.
+    # executors are offered whole groups, exercising the group dispatch.
     return RunSpec(
         scheme="naive",
         num_iterations=6,
@@ -93,17 +104,16 @@ def training_spec() -> RunSpec:
 
 
 class TestRegistry:
-    def test_builtins_registered(self):
-        for name in ALL_EXECUTORS:
-            assert name in EXECUTORS
+    def test_builtins_are_process_and_cached(self):
+        assert set(EXECUTORS.names()) == {"process", "cached"}
 
     def test_resolve_instance_passthrough(self):
-        instance = SerialExecutor()
+        instance = ProcessExecutor()
         assert resolve_executor(instance) is instance
         assert resolve_executor(None) is None
 
     def test_resolve_unknown_name_lists_options(self):
-        with pytest.raises(RegistryError, match="serial"):
+        with pytest.raises(RegistryError, match="process"):
             resolve_executor("warp_drive")
 
     def test_resolve_rejects_non_executor_argument(self):
@@ -113,168 +123,224 @@ class TestRegistry:
     def test_custom_executor_usable_by_name(self, engine, timing_spec):
         calls = []
 
-        @register_executor("counting_serial")
-        class CountingSerial(Executor):
-            name = "counting_serial"
+        @register_executor("counting")
+        class Counting(Executor):
+            name = "counting"
 
-            def run_specs(self, engine, specs, workers):
+            def run_specs(self, engine, specs):
                 calls.append(len(specs))
                 return [engine.run(spec) for spec in specs]
 
         try:
-            results = engine.run_many([timing_spec], executor="counting_serial")
+            results = engine.run_many([timing_spec], executor="counting")
             assert calls == [1]
             assert results_json(results) == results_json([engine.run(timing_spec)])
         finally:
-            EXECUTORS.unregister("counting_serial")
+            EXECUTORS.unregister("counting")
+
+    @pytest.mark.parametrize("method", ("run_many", "sweep", "compare"))
+    def test_executor_is_the_only_execution_argument(self, method):
+        parameters = inspect.signature(getattr(Engine, method)).parameters
+        assert "executor" in parameters
+        assert "parallel" not in parameters
+        assert "policy" not in parameters
+
+    def test_sweep_rejects_a_parallel_axis(self, engine, timing_spec):
+        with pytest.raises(EngineError, match="unknown sweep axis 'parallel'"):
+            engine.sweep(timing_spec, parallel=[2], seed=[0, 1])
 
 
 class TestBitIdentity:
-    @pytest.mark.parametrize("name", ALL_EXECUTORS)
-    def test_stacked_timing_sweep(self, engine, timing_spec, name):
+    @pytest.mark.parametrize("case", EXECUTOR_CASES)
+    def test_stacked_timing_sweep(self, engine, timing_spec, tmp_path, case):
         seeds = list(range(3, 9))
-        reference = engine.sweep(timing_spec, executor="serial", seed=seeds)
-        candidate = engine.sweep(timing_spec, executor=name, seed=seeds)
-        assert results_json(candidate) == results_json(reference)
+        check_against_reference(
+            case,
+            tmp_path,
+            engine.sweep(timing_spec, seed=seeds),
+            lambda executor: engine.sweep(timing_spec, executor=executor, seed=seeds),
+        )
 
-    @pytest.mark.parametrize("name", ALL_EXECUTORS)
-    def test_stacked_training_sweep(self, engine, training_spec, name):
+    @pytest.mark.parametrize("case", EXECUTOR_CASES)
+    def test_stacked_training_sweep(self, engine, training_spec, tmp_path, case):
         seeds = [11, 12, 13]
-        reference = engine.sweep(training_spec, executor="serial", seed=seeds)
-        candidate = engine.sweep(training_spec, executor=name, seed=seeds)
-        assert results_json(candidate) == results_json(reference)
+        check_against_reference(
+            case,
+            tmp_path,
+            engine.sweep(training_spec, seed=seeds),
+            lambda executor: engine.sweep(
+                training_spec, executor=executor, seed=seeds
+            ),
+        )
 
-    @pytest.mark.parametrize("name", ("process_shm", "thread"))
-    def test_ragged_mixed_sweep(self, engine, timing_spec, name):
+    @pytest.mark.parametrize("case", EXECUTOR_CASES)
+    def test_ragged_mixed_sweep(self, engine, timing_spec, tmp_path, case):
         # Two schemes -> two stacked groups; rng_version=1 members join the
         # un-stackable remainder, so group dispatch and the run_many
         # fallback both execute under the same executor.
         axes = {"scheme": ["naive", "cyclic"], "rng_version": [2, 1]}
-        reference = engine.sweep(timing_spec, executor="serial", **axes)
-        candidate = engine.sweep(timing_spec, executor=name, **axes)
-        assert results_json(candidate) == results_json(reference)
+        check_against_reference(
+            case,
+            tmp_path,
+            engine.sweep(timing_spec, **axes),
+            lambda executor: engine.sweep(timing_spec, executor=executor, **axes),
+        )
 
-    @pytest.mark.parametrize("name", ALL_EXECUTORS)
-    def test_run_many_single_spec(self, engine, timing_spec, name):
-        reference = results_json([engine.run(timing_spec)])
-        assert results_json(
-            engine.run_many([timing_spec], executor=name)
-        ) == reference
+    @pytest.mark.parametrize("case", EXECUTOR_CASES)
+    def test_run_many(self, engine, timing_spec, tmp_path, case):
+        specs = [timing_spec, timing_spec.replace(seed=4, rng_version=1)]
+        check_against_reference(
+            case,
+            tmp_path,
+            [engine.run(spec) for spec in specs],
+            lambda executor: engine.run_many(specs, executor=executor),
+        )
 
-    def test_compare_accepts_executor(self, engine, timing_spec):
+    @pytest.mark.parametrize("case", EXECUTOR_CASES)
+    def test_compare(self, engine, timing_spec, tmp_path, case):
         schemes = ["naive", "heter_aware"]
         reference = engine.compare(timing_spec, schemes)
-        candidate = engine.compare(timing_spec, schemes, executor="process_shm")
-        assert list(candidate) == schemes
-        assert results_json(candidate.values()) == results_json(reference.values())
 
-    def test_default_executor_keeps_legacy_behaviour(self, engine, timing_spec):
-        seeds = list(range(3, 7))
-        specs = [timing_spec.replace(seed=s) for s in seeds]
-        assert results_json(
-            engine.run_many(specs, parallel=2)
-        ) == results_json(engine.run_many(specs))
+        def execute(executor):
+            compared = engine.compare(timing_spec, schemes, executor=executor)
+            assert list(compared) == schemes
+            return list(compared.values())
+
+        check_against_reference(case, tmp_path, list(reference.values()), execute)
 
 
 class TestInjectedBackends:
     @pytest.fixture()
-    def injected_engine(self, engine, timing_spec):
+    def injected_engine(self):
         real = Engine()
-        return Engine(
-            backends={"timing": lambda spec: real.run(spec).trace}
-        )
+        return Engine(backends={"timing": lambda spec: real.run(spec).trace})
 
-    @pytest.mark.parametrize("name", ("process", "process_shm"))
+    @pytest.mark.parametrize("case", EXECUTOR_CASES)
     def test_subprocess_executors_reject_injected_backends(
-        self, injected_engine, timing_spec, name
+        self, injected_engine, timing_spec, tmp_path, case
     ):
+        executor = make_executor(case, tmp_path)
+        assert executor.requires_subprocess
         with pytest.raises(EngineError, match="registry-backed"):
-            injected_engine.run_many([timing_spec], executor=name)
+            injected_engine.run_many([timing_spec], executor=executor)
 
-    @pytest.mark.parametrize("name", ("serial", "thread"))
-    def test_in_process_executors_accept_injected_backends(
-        self, engine, injected_engine, timing_spec, name
+    def test_in_process_cached_accepts_injected_backends(
+        self, engine, injected_engine, timing_spec, tmp_path
     ):
-        results = injected_engine.run_many(
-            [timing_spec, timing_spec.replace(seed=4)], executor=name
-        )
-        reference = engine.run_many([timing_spec, timing_spec.replace(seed=4)])
-        assert results_json(results) == results_json(reference)
+        specs = [timing_spec, timing_spec.replace(seed=4)]
+        executor = CachedExecutor(store=FileRunStore(tmp_path / "store"))
+        results = injected_engine.run_many(specs, executor=executor)
+        assert results_json(results) == results_json(engine.run_many(specs))
 
-    def test_injected_backend_sweep_still_serial_by_default(
+    def test_injected_backend_sweep_runs_in_process_by_default(
         self, injected_engine, timing_spec
     ):
         # executor=None: injected-backend specs are never stackable and the
-        # serial fallback handles them — the historical contract.
+        # in-process fallback handles them.
         results = injected_engine.sweep(timing_spec, seed=[3, 4])
         assert len(results) == 2
 
 
-class TestResolveParallel:
-    def test_parallel_true_uses_process_cpu_count(self, monkeypatch):
-        monkeypatch.setattr(os, "process_cpu_count", lambda: 3, raising=False)
-        assert _available_cpu_count() == 3
-        assert Engine._resolve_parallel(True, 100) == 3
-
-    def test_falls_back_to_cpu_count(self, monkeypatch):
-        monkeypatch.delattr(os, "process_cpu_count", raising=False)
-        monkeypatch.setattr(os, "cpu_count", lambda: 5)
-        assert _available_cpu_count() == 5
-        assert Engine._resolve_parallel(True, 100) == 5
-
-    def test_survives_none_returns(self, monkeypatch):
-        monkeypatch.setattr(os, "process_cpu_count", lambda: None, raising=False)
-        monkeypatch.setattr(os, "cpu_count", lambda: None)
-        assert _available_cpu_count() == 1
+def _exit_in_child(parent_pid: int) -> None:
+    if os.getpid() == parent_pid:
+        raise AssertionError("the dying code path ran in the parent process")
+    os._exit(1)
 
 
-class TestShmLifetime:
-    def test_completed_sweep_leaves_no_segments(self, engine, timing_spec):
-        before = shm_segments()
-        engine.sweep(timing_spec, executor="process_shm", seed=[3, 4, 5, 6])
-        assert shm_segments() == before
+@pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="the dying backend is registered at runtime; only fork children see it",
+)
+class TestWorkerDeath:
+    """A pool worker that dies mid-sweep fails the dispatch by name."""
 
-    def test_failed_run_leaves_no_segments(self, engine, timing_spec):
-        bad = timing_spec.replace(scheme="no_such_scheme")
-        before = shm_segments()
-        with pytest.raises(EngineError, match="unknown scheme"):
-            engine.run_many([timing_spec, bad], executor="process_shm")
-        assert shm_segments() == before
+    @pytest.fixture()
+    def dying_mode(self):
+        parent_pid = os.getpid()
 
-    def test_worker_exception_cleans_published_segments(self, engine, timing_spec):
-        # One group dies inside the worker (after validation) while its
-        # sibling publishes a segment; the dispatch must unlink the healthy
-        # worker's segment before re-raising.
-        executor = ProcessShmExecutor()
-        before = shm_segments()
-        with pytest.raises(Exception):
-            executor._dispatch(
-                [[timing_spec], [timing_spec.replace(num_iterations=-1)]],
-                workers=2,
+        def backend(spec):
+            _exit_in_child(parent_pid)
+
+        EXECUTION_BACKENDS.add("die_in_worker", backend)
+        try:
+            yield "die_in_worker"
+        finally:
+            EXECUTION_BACKENDS.unregister("die_in_worker")
+
+    @pytest.fixture()
+    def dying_stacks(self, monkeypatch):
+        parent_pid = os.getpid()
+
+        def run_timing_stack(self, members):
+            _exit_in_child(parent_pid)
+
+        monkeypatch.setattr(Engine, "_run_timing_stack", run_timing_stack)
+
+    def test_process_raises_executor_error(self, engine, dying_mode):
+        spec = RunSpec(mode=dying_mode, seed=0)
+        with pytest.raises(ExecutorError, match="'process'") as caught:
+            engine.run_many([spec, spec.replace(seed=1)], executor="process")
+        assert isinstance(caught.value.__cause__, BrokenProcessPool)
+
+    def test_cached_sweep_writes_nothing(self, engine, dying_mode, tmp_path):
+        store = FileRunStore(tmp_path / "store")
+        executor = CachedExecutor(inner="process", store=store)
+        with pytest.raises(ExecutorError, match="'process'"):
+            engine.sweep(RunSpec(mode=dying_mode), executor=executor, seed=[0, 1, 2])
+        assert store.fingerprints() == ()
+
+    def test_cached_stacked_sweep_writes_nothing(
+        self, engine, timing_spec, dying_stacks, tmp_path
+    ):
+        store = FileRunStore(tmp_path / "store")
+        executor = CachedExecutor(inner="process", store=store)
+        with pytest.raises(ExecutorError, match="'process'") as caught:
+            engine.sweep(
+                timing_spec, executor=executor, scheme=["naive", "cyclic"], seed=[0, 1]
             )
-        assert shm_segments() == before
+        assert isinstance(caught.value.__cause__, BrokenProcessPool)
+        assert store.fingerprints() == ()
 
 
 class TestCli:
-    @pytest.mark.parametrize("name", ("serial", "process_shm"))
-    def test_run_with_executor_matches_default(self, capsys, name):
+    ARGV = [
+        "run",
+        "--scheme",
+        "naive",
+        "--iterations",
+        "3",
+        "--samples",
+        "512",
+        "--delay",
+        "1.0",
+        "--rng-version",
+        "2",
+        "--json",
+    ]
+
+    @pytest.mark.parametrize("name", ("process", "cached"))
+    def test_run_with_executor_matches_default(
+        self, capsys, monkeypatch, tmp_path, name
+    ):
         from repro.cli import main
 
-        argv = [
-            "run",
-            "--scheme",
-            "naive",
-            "--iterations",
-            "3",
-            "--samples",
-            "512",
-            "--delay",
-            "1.0",
-            "--rng-version",
-            "2",
-            "--json",
-        ]
-        assert main(argv) == 0
+        monkeypatch.setenv("REPRO_STORE_DIR", str(tmp_path / "store"))
+        assert main(self.ARGV) == 0
         reference = capsys.readouterr().out
-        assert main([*argv, "--executor", name]) == 0
+        assert main([*self.ARGV, "--executor", name]) == 0
         assert capsys.readouterr().out == reference
+
+    def test_removed_executor_name_fails_with_registered_names(self):
+        env = {**os.environ, "PYTHONPATH": str(_SRC)}
+        completed = subprocess.run(
+            [sys.executable, "-m", "repro", *self.ARGV, "--executor", "thread"],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+        assert completed.returncode != 0
+        assert (
+            "unknown executor 'thread'; expected one of ['process', 'cached']"
+            in completed.stderr
+        )

@@ -1,19 +1,24 @@
-"""Parallel ``Engine.sweep`` / ``Engine.compare``: bit-identical to serial.
+"""Process-pool ``Engine.sweep`` / ``Engine.compare``: bit-identical to
+in-process.
 
 Every run derives all randomness from its spec's seed, so distributing the
-runs over a process pool must change wall-clock time only.  The comparison
-serialises results to JSON (NaN-safe) and demands exact textual equality —
-no tolerance.
+runs over a :class:`ProcessExecutor` pool must change wall-clock time only.
+The comparison serialises results to JSON (NaN-safe) and demands exact
+textual equality — no tolerance.  The pool's size rule is pinned here too:
+``workers=None`` is one worker per available CPU, and every pool is clamped
+to its number of dispatch units.
 """
 
 from __future__ import annotations
 
 import json
+import os
 
 import pytest
 
-from repro.api import Engine, RunSpec
-from repro.api.engine import EngineError, _run_spec_in_subprocess
+from repro.api import Engine, ExecutorError, ProcessExecutor, RunSpec
+from repro.api.engine import EngineError
+from repro.api.executors import _run_spec_in_subprocess
 
 
 def results_json(results) -> str:
@@ -33,69 +38,49 @@ def base_spec() -> RunSpec:
 
 
 class TestParallelSweep:
-    def test_parallel_sweep_bit_identical_to_serial(self, engine, base_spec):
+    def test_pooled_sweep_bit_identical_to_in_process(self, engine, base_spec):
         axes = {"scheme": ["naive", "cyclic", "heter_aware"], "seed": [0, 1]}
-        serial = engine.sweep(base_spec, **axes)
-        parallel = engine.sweep(base_spec, parallel=2, **axes)
-        assert len(serial) == len(parallel) == 6
-        assert results_json(serial) == results_json(parallel)
+        in_process = engine.sweep(base_spec, **axes)
+        pooled = engine.sweep(base_spec, executor=ProcessExecutor(workers=2), **axes)
+        assert len(in_process) == len(pooled) == 6
+        assert results_json(in_process) == results_json(pooled)
 
-    def test_parallel_compare_bit_identical_to_serial(self, engine, base_spec):
+    def test_pooled_compare_bit_identical_to_in_process(self, engine, base_spec):
         schemes = ["naive", "heter_aware"]
-        serial = engine.compare(base_spec, schemes)
-        parallel = engine.compare(base_spec, schemes, parallel=2)
-        assert list(serial) == list(parallel) == schemes
-        assert results_json(serial.values()) == results_json(parallel.values())
+        in_process = engine.compare(base_spec, schemes)
+        pooled = engine.compare(base_spec, schemes, executor=ProcessExecutor(workers=2))
+        assert list(in_process) == list(pooled) == schemes
+        assert results_json(in_process.values()) == results_json(pooled.values())
 
     def test_sweep_without_axes_runs_once(self, engine, base_spec):
-        results = engine.sweep(base_spec, parallel=2)
+        results = engine.sweep(base_spec, executor=ProcessExecutor(workers=2))
         assert len(results) == 1
         assert results_json(results) == results_json([engine.run(base_spec)])
 
-    def test_parallel_true_and_int_both_accepted(self, engine, base_spec):
-        reference = engine.run_many([base_spec])
-        assert results_json(
-            engine.run_many([base_spec], parallel=True)
-        ) == results_json(reference)
-
-    def test_parallel_zero_and_one_mean_serial(self, engine, base_spec):
-        for value in (0, 1, False, None):
-            assert engine._resolve_parallel(value, 4) == 1
-
-    def test_worker_count_capped_by_spec_count(self, engine):
-        # parallel=N with N > len(specs) must not spawn idle pool workers.
-        assert engine._resolve_parallel(16, 3) == 3
-        assert engine._resolve_parallel(64, 2) == 2
-        # parallel=True resolves to cpu_count, still capped by the spec count.
-        assert 1 <= engine._resolve_parallel(True, 2) <= 2
-
-    def test_overprovisioned_parallel_still_bit_identical(self, engine, base_spec):
+    @pytest.mark.parametrize("workers", (None, 1, 64))
+    def test_any_pool_size_bit_identical(self, engine, base_spec, workers):
         specs = [base_spec, base_spec.replace(seed=4)]
         reference = engine.run_many(specs)
         assert results_json(
-            engine.run_many(specs, parallel=64)
+            engine.run_many(specs, executor=ProcessExecutor(workers=workers))
         ) == results_json(reference)
 
-    def test_sweep_and_compare_resolve_parallel_identically(self, engine, base_spec):
-        # The documented contract: compare and sweep route their `parallel`
-        # argument through run_many's resolution rule, nothing else.
-        for value in (None, False, 0, 1, True, 2, 5):
+    def test_sweep_and_compare_agree_under_every_executor(self, engine, base_spec):
+        for executor in (None, ProcessExecutor(workers=1), ProcessExecutor()):
             sweep = engine.sweep(
-                base_spec, parallel=value, scheme=["naive", "cyclic"]
+                base_spec, executor=executor, scheme=["naive", "cyclic"]
             )
             compare = engine.compare(
-                base_spec, ["naive", "cyclic"], parallel=value
+                base_spec, ["naive", "cyclic"], executor=executor
             )
             assert results_json(sweep) == results_json(list(compare.values()))
 
-    def test_negative_parallel_rejected(self, engine, base_spec):
-        with pytest.raises(EngineError, match="non-negative"):
-            engine.run_many([base_spec], parallel=-2)
-
-    def test_injected_backends_cannot_parallelise(self, base_spec):
+    def test_injected_backends_cannot_use_a_pool(self, base_spec):
         fake = Engine(backends={"timing": lambda spec: None})
         with pytest.raises(EngineError, match="registry-backed"):
-            fake.run_many([base_spec, base_spec], parallel=2)
+            fake.run_many(
+                [base_spec, base_spec], executor=ProcessExecutor(workers=2)
+            )
 
     def test_subprocess_worker_round_trips_spec(self, engine, base_spec):
         result = _run_spec_in_subprocess(base_spec.to_dict())
@@ -104,4 +89,32 @@ class TestParallelSweep:
     def test_invalid_spec_fails_fast_in_parent(self, engine, base_spec):
         bad = base_spec.replace(scheme="no_such_scheme")
         with pytest.raises(EngineError, match="unknown scheme"):
-            engine.run_many([base_spec, bad], parallel=2)
+            engine.run_many([base_spec, bad], executor=ProcessExecutor(workers=2))
+
+
+class TestPoolSize:
+    def test_clamped_to_dispatch_units(self):
+        # workers=N with N > units must not spawn idle pool workers.
+        assert ProcessExecutor(workers=16).pool_size(3) == 3
+        assert ProcessExecutor(workers=64).pool_size(2) == 2
+        assert ProcessExecutor(workers=2).pool_size(5) == 2
+        assert 1 <= ProcessExecutor().pool_size(2) <= 2
+
+    @pytest.mark.parametrize("workers", (0, -2, True, False))
+    def test_rejects_non_positive_or_bool_workers(self, workers):
+        with pytest.raises(ExecutorError, match="positive int or None"):
+            ProcessExecutor(workers=workers)
+
+    def test_none_uses_process_cpu_count(self, monkeypatch):
+        monkeypatch.setattr(os, "process_cpu_count", lambda: 3, raising=False)
+        assert ProcessExecutor().pool_size(100) == 3
+
+    def test_falls_back_to_cpu_count(self, monkeypatch):
+        monkeypatch.delattr(os, "process_cpu_count", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 5)
+        assert ProcessExecutor().pool_size(100) == 5
+
+    def test_survives_none_returns(self, monkeypatch):
+        monkeypatch.setattr(os, "process_cpu_count", lambda: None, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert ProcessExecutor().pool_size(100) == 1

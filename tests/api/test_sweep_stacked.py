@@ -15,9 +15,10 @@ import json
 import pytest
 
 import repro.experiments.common as common_module
-from repro.api import Engine, RunSpec
+from repro.api import CachedExecutor, Engine, ProcessExecutor, RunSpec
 from repro.api.engine import EngineError
 from repro.api.spec import NetworkSpec, StragglerSpec
+from repro.store import FileRunStore
 
 
 def results_json(results) -> str:
@@ -191,9 +192,9 @@ class TestPlannerFallbacks:
         )
         assert len(calls) == 3 and len(results) == 3
 
-    def test_parallel_composes_with_stacking(self, engine):
-        # Stacked groups run in-process; the remainder follows run_many's
-        # parallel rule.  Either way the results are bit-identical.
+    def test_process_pool_composes_with_stacking(self, engine):
+        # The pool takes the stacked groups as units and the remainder as
+        # single runs.  Either way the results are bit-identical.
         base = RunSpec(
             num_iterations=8,
             total_samples=512,
@@ -203,8 +204,8 @@ class TestPlannerFallbacks:
         )
         axes = {"seed": [0, 1, 2, 3], "rng_version": [1, 2]}
         serial = engine.sweep(base, **axes)
-        parallel = engine.sweep(base, parallel=2, **axes)
-        assert results_json(serial) == results_json(parallel)
+        pooled = engine.sweep(base, executor=ProcessExecutor(workers=2), **axes)
+        assert results_json(serial) == results_json(pooled)
 
     def test_results_keep_sweep_order(self, engine):
         base = RunSpec(
@@ -288,7 +289,9 @@ class TestSingletonTimingGroups:
             engine.run(result.spec).to_json() for result in swept
         ]
 
-    def test_explicit_executor_keeps_fallback_routing(self, engine, monkeypatch):
+    def test_explicit_executor_keeps_fallback_routing(
+        self, engine, monkeypatch, tmp_path
+    ):
         stacked_sizes = []
         run_stack = Engine._run_timing_stack
 
@@ -305,8 +308,9 @@ class TestSingletonTimingGroups:
         serial = engine.sweep(base, **axes)
         assert stacked_sizes == [1, 1, 1, 1]
         stacked_sizes.clear()
-        routed = engine.sweep(base, executor="serial", **axes)
+        cached = CachedExecutor(store=FileRunStore(tmp_path / "store"))
+        routed = engine.sweep(base, executor=cached, **axes)
         assert stacked_sizes == []
-        pooled = engine.sweep(base, parallel=2, **axes)
+        pooled = engine.sweep(base, executor="process", **axes)
         assert stacked_sizes == []
         assert results_json(routed) == results_json(serial) == results_json(pooled)

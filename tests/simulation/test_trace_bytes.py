@@ -1,48 +1,80 @@
-"""Shared-memory transport for trace columns: bit-exact, leak-free.
+"""Byte packing of trace columns: the run store's on-disk format.
 
-``TraceColumns``/``RaggedColumn`` round-trip through
-``multiprocessing.shared_memory`` segments across every shape the figure
-experiments produce — NaN canonical losses (timing-only runs), ``inf``
-fail-stop durations, nullable ``used_groups`` masks, empty traces — and the
-ownership contract holds: consuming a descriptor unlinks its segment, error
-paths unlink too, and nothing survives in ``/dev/shm`` after a completed
-round-trip.
+``TraceColumns.to_bytes`` returns a JSON descriptor (offsets, shapes, dtype
+strings) and one binary payload; the run store persists both.  Round trips
+are bit-exact across every shape the figure experiments produce — NaN
+canonical losses (timing-only runs), ``inf`` fail-stop durations, nullable
+``used_groups`` masks, empty traces.  The pin fixes the descriptor and the
+payload's sha256 for a small block covering those shapes, so a refactor of
+the packing code cannot silently change what older stores hold.  A change
+there needs a ``STORE_SCHEMA_VERSION`` bump.
 """
 
 from __future__ import annotations
 
-import gc
-import os
+import hashlib
 
 import numpy as np
 import pytest
 
 from repro.simulation.trace import (
+    BytesReader,
+    BytesWriter,
     RaggedColumn,
     RunTrace,
-    ShmReader,
-    ShmWriter,
     TraceColumns,
-    TraceError,
-    unlink_shm,
 )
 
-_SHM_DIR = "/dev/shm"
+_NAN = float("nan")
+_INF = float("inf")
+
+PINNED_DESCRIPTOR = {
+    "iterations": {"offset": 0, "shape": [4], "dtype": "<i8"},
+    "durations": {"offset": 64, "shape": [4], "dtype": "<f8"},
+    "train_losses": {"offset": 128, "shape": [4], "dtype": "<f8"},
+    "compute_times": {"offset": 192, "shape": [4, 3], "dtype": "<f8"},
+    "completion_times": {"offset": 320, "shape": [4, 3], "dtype": "<f8"},
+    "workers_used": {
+        "offsets": {"offset": 448, "shape": [5], "dtype": "<i8"},
+        "values": {"offset": 512, "shape": [6], "dtype": "<i8"},
+        "present": None,
+    },
+    "used_groups": {
+        "offsets": {"offset": 576, "shape": [5], "dtype": "<i8"},
+        "values": {"offset": 640, "shape": [3], "dtype": "<i8"},
+        "present": {"offset": 704, "shape": [4], "dtype": "|b1"},
+    },
+}
+PINNED_PAYLOAD_BYTES = 768
+PINNED_PAYLOAD_SHA256 = (
+    "be08a164728d9ddbc7491cc844813d98a2e237cf3d1dadae07850c388f849081"
+)
 
 
-def shm_segments() -> set:
-    if not os.path.isdir(_SHM_DIR):  # pragma: no cover - non-Linux fallback
-        return set()
-    return {name for name in os.listdir(_SHM_DIR) if name.startswith("psm_")}
-
-
-@pytest.fixture(autouse=True)
-def no_leaked_segments():
-    before = shm_segments()
-    yield
-    gc.collect()
-    leaked = shm_segments() - before
-    assert not leaked, f"leaked shared-memory segments: {sorted(leaked)}"
+def pinned_columns() -> TraceColumns:
+    return TraceColumns(
+        iterations=np.arange(3, 7, dtype=np.int64),
+        durations=np.array([1.5, _INF, 0.25, 2.0]),
+        train_losses=np.array([_NAN, 0.75, _NAN, 0.5]),
+        compute_times=np.array(
+            [
+                [0.5, 1.0, 1.5],
+                [0.25, 0.5, 0.75],
+                [1.0, 2.0, 3.0],
+                [0.125, 0.25, 0.375],
+            ]
+        ),
+        completion_times=np.array(
+            [
+                [1.0, 2.0, _INF],
+                [_INF, _INF, _INF],
+                [1.5, 2.5, 3.5],
+                [0.5, 1.0, 1.5],
+            ]
+        ),
+        workers_used=((0, 1), (), (0, 1, 2), (2,)),
+        used_groups=((0,), None, None, (1, 2)),
+    )
 
 
 def assert_columns_equal(a: TraceColumns, b: TraceColumns) -> None:
@@ -53,6 +85,22 @@ def assert_columns_equal(a: TraceColumns, b: TraceColumns) -> None:
     assert np.array_equal(a.completion_times, b.completion_times)
     assert a.workers_used.tuples() == b.workers_used.tuples()
     assert a.used_groups.tuples() == b.used_groups.tuples()
+
+
+class TestStoreFormatPin:
+    def test_descriptor_is_pinned(self):
+        descriptor, _ = pinned_columns().to_bytes()
+        assert descriptor == PINNED_DESCRIPTOR
+
+    def test_payload_is_pinned(self):
+        _, payload = pinned_columns().to_bytes()
+        assert len(payload) == PINNED_PAYLOAD_BYTES
+        assert hashlib.sha256(payload).hexdigest() == PINNED_PAYLOAD_SHA256
+
+    def test_pinned_bytes_read_back(self):
+        columns = pinned_columns()
+        descriptor, payload = columns.to_bytes()
+        assert_columns_equal(TraceColumns.from_bytes(descriptor, payload), columns)
 
 
 def figure_shape_columns() -> dict[str, TraceColumns]:
@@ -96,7 +144,17 @@ def figure_shape_columns() -> dict[str, TraceColumns]:
     }
 
 
-class TestRaggedColumnShm:
+def ragged_round_trip(column: RaggedColumn) -> RaggedColumn:
+    writer = BytesWriter()
+    descriptor = column.pack(writer)
+    return RaggedColumn.unpack(BytesReader(writer.getvalue()), descriptor)
+
+
+def bytes_round_trip(columns: TraceColumns) -> TraceColumns:
+    return TraceColumns.from_bytes(*columns.to_bytes())
+
+
+class TestRaggedColumnBytes:
     @pytest.mark.parametrize(
         "rows, nullable",
         [
@@ -109,7 +167,7 @@ class TestRaggedColumnShm:
     )
     def test_round_trip_bit_identical(self, rows, nullable):
         column = RaggedColumn.from_rows(rows, nullable=nullable)
-        restored = RaggedColumn.from_shm(column.to_shm())
+        restored = ragged_round_trip(column)
         assert restored.tuples() == column.tuples()
         assert np.array_equal(restored.offsets, column.offsets)
         assert np.array_equal(restored.values, column.values)
@@ -118,74 +176,35 @@ class TestRaggedColumnShm:
         else:
             assert np.array_equal(restored.present, column.present)
 
-    def test_attached_arrays_read_only(self):
-        column = RaggedColumn.from_rows([(1, 2), (3,)])
-        restored = RaggedColumn.from_shm(column.to_shm())
+    def test_unpacked_arrays_read_only(self):
+        restored = ragged_round_trip(RaggedColumn.from_rows([(1, 2), (3,)]))
         assert not restored.offsets.flags.writeable
         assert not restored.values.flags.writeable
 
-    def test_consume_false_allows_second_consumer(self):
-        column = RaggedColumn.from_rows([(1, 2, 3)])
-        descriptor = column.to_shm()
-        first = RaggedColumn.from_shm(descriptor, consume=False)
-        second = RaggedColumn.from_shm(descriptor)  # consumes
-        assert first.tuples() == second.tuples() == column.tuples()
 
-    def test_unlink_shm_discards_unconsumed_descriptor(self):
-        descriptor = RaggedColumn.from_rows([(1,)]).to_shm()
-        unlink_shm(descriptor)
-        unlink_shm(descriptor)  # idempotent on already-gone segments
-
-
-class TestTraceColumnsShm:
+class TestTraceColumnsBytes:
     @pytest.mark.parametrize("shape", sorted(figure_shape_columns()))
     def test_round_trip_bit_identical(self, shape):
         columns = figure_shape_columns()[shape]
-        restored = TraceColumns.from_shm(columns.to_shm())
-        assert_columns_equal(columns, restored)
+        assert_columns_equal(columns, bytes_round_trip(columns))
 
-    def test_arrays_survive_consume_and_gc(self):
-        columns = figure_shape_columns()["training_nullable_groups"]
-        restored = TraceColumns.from_shm(columns.to_shm())
-        gc.collect()  # segment unlinked; pages must outlive it via the views
-        assert_columns_equal(columns, restored)
-
-    def test_shared_writer_packs_many_blocks_in_one_segment(self):
+    def test_shared_writer_packs_many_blocks_in_one_payload(self):
         blocks = [
             figure_shape_columns()["timing_nan_losses"],
             figure_shape_columns()["fail_stop_inf"],
             figure_shape_columns()["empty"],
         ]
-        writer = ShmWriter()
-        descriptors = [block.shm_export(writer) for block in blocks]
-        segment, nbytes = writer.create()
-        reader = ShmReader(segment)
-        try:
-            restored = [
-                TraceColumns.shm_attach(reader, descriptor)
-                for descriptor in descriptors
-            ]
-        finally:
-            reader.consume()
-        for block, copy in zip(blocks, restored, strict=True):
-            assert_columns_equal(block, copy)
-
-    def test_reader_rejects_use_after_consume(self):
-        descriptor = figure_shape_columns()["empty"].to_shm()
-        reader = ShmReader(descriptor["segment"])
-        reader.consume()
-        with pytest.raises(TraceError, match="after consume"):
-            reader.array({"offset": 0, "shape": [0], "dtype": "<f8"})
-        reader.consume()  # idempotent
+        writer = BytesWriter()
+        descriptors = [block.pack(writer) for block in blocks]
+        reader = BytesReader(writer.getvalue())
+        for block, descriptor in zip(blocks, descriptors, strict=True):
+            assert_columns_equal(block, TraceColumns.unpack(reader, descriptor))
 
     def test_round_trip_preserves_json_serialisation(self):
         columns = figure_shape_columns()["training_nullable_groups"]
         trace = RunTrace.from_columns("ssp", "Cluster-A", columns, {"seed": 5})
         restored = RunTrace.from_columns(
-            "ssp",
-            "Cluster-A",
-            TraceColumns.from_shm(columns.to_shm()),
-            {"seed": 5},
+            "ssp", "Cluster-A", bytes_round_trip(columns), {"seed": 5}
         )
         assert restored == trace
         assert restored.to_dict() == trace.to_dict()
