@@ -149,6 +149,52 @@ class TestRegistry:
         with pytest.raises(EngineError, match="unknown sweep axis 'parallel'"):
             engine.sweep(timing_spec, parallel=[2], seed=[0, 1])
 
+    @pytest.mark.parametrize("keyword", ("parallel", "policy"))
+    @pytest.mark.parametrize("method", ("run_many", "compare"))
+    def test_removed_keywords_are_type_errors(
+        self, engine, timing_spec, method, keyword
+    ):
+        call = {
+            "run_many": lambda **kw: engine.run_many([timing_spec], **kw),
+            "compare": lambda **kw: engine.compare(timing_spec, ["naive"], **kw),
+        }[method]
+        with pytest.raises(TypeError, match=keyword):
+            call(**{keyword: 2})
+
+    def test_sweep_rejects_a_policy_axis(self, engine, timing_spec):
+        with pytest.raises(EngineError, match="unknown sweep axis 'policy'"):
+            engine.sweep(timing_spec, policy=[None], seed=[0, 1])
+
+    @pytest.mark.parametrize(
+        "name, cls", (("process", ProcessExecutor), ("cached", CachedExecutor))
+    )
+    def test_builtin_names_resolve_to_fresh_instances(self, name, cls):
+        first, second = resolve_executor(name), resolve_executor(name)
+        assert type(first) is cls and type(second) is cls
+        assert first is not second
+        assert first.name == name
+
+    @pytest.mark.parametrize("name", ("serial", "thread", "process_shm"))
+    def test_removed_executor_names_are_unknown(self, name):
+        with pytest.raises(RegistryError, match="process"):
+            resolve_executor(name)
+
+    def test_registered_instance_resolves_to_itself(self):
+        instance = ProcessExecutor(workers=1)
+        EXECUTORS.add("one_worker_pool", instance)
+        try:
+            assert resolve_executor("one_worker_pool") is instance
+        finally:
+            EXECUTORS.unregister("one_worker_pool")
+
+    def test_registered_non_executor_is_rejected(self):
+        EXECUTORS.add("not_an_executor", dict)
+        try:
+            with pytest.raises(ExecutorError, match="not an Executor"):
+                resolve_executor("not_an_executor")
+        finally:
+            EXECUTORS.unregister("not_an_executor")
+
 
 class TestBitIdentity:
     @pytest.mark.parametrize("case", EXECUTOR_CASES)
@@ -195,6 +241,46 @@ class TestBitIdentity:
             [engine.run(spec) for spec in specs],
             lambda executor: engine.run_many(specs, executor=executor),
         )
+
+    @pytest.mark.parametrize("case", EXECUTOR_CASES)
+    def test_run_many_single_spec(self, engine, timing_spec, tmp_path, case):
+        check_against_reference(
+            case,
+            tmp_path,
+            [engine.run(timing_spec)],
+            lambda executor: engine.run_many([timing_spec], executor=executor),
+        )
+
+    def test_compare_accepts_executor(self, engine, timing_spec):
+        schemes = ["naive", "cyclic"]
+        reference = engine.compare(timing_spec, schemes)
+        by_name = engine.compare(timing_spec, schemes, executor="process")
+        assert list(by_name) == schemes
+        assert results_json(by_name.values()) == results_json(reference.values())
+
+    def test_default_executor_keeps_legacy_behaviour(self, engine, timing_spec):
+        # executor=None stacks the sweep in-process; every result still
+        # equals a standalone run of its spec.
+        seeds = [3, 4, 5]
+        swept = engine.sweep(timing_spec, executor=None, seed=seeds)
+        standalone = [engine.run(timing_spec.replace(seed=seed)) for seed in seeds]
+        assert results_json(swept) == results_json(standalone)
+
+    def test_declined_group_dispatch_runs_in_process(self, engine, timing_spec):
+        # An executor without run_groups declines stacked groups; the
+        # engine then stacks them in-process and only hands the executor
+        # the ragged remainder.
+        offered = []
+
+        class SpecsOnly(Executor):
+            def run_specs(self, engine, specs):
+                offered.append(list(specs))
+                return [engine.run(spec) for spec in specs]
+
+        axes = {"seed": [3, 4], "rng_version": [2, 1]}
+        results = engine.sweep(timing_spec, executor=SpecsOnly(), **axes)
+        assert results_json(results) == results_json(engine.sweep(timing_spec, **axes))
+        assert [[spec.rng_version for spec in batch] for batch in offered] == [[1, 1]]
 
     @pytest.mark.parametrize("case", EXECUTOR_CASES)
     def test_compare(self, engine, timing_spec, tmp_path, case):
@@ -280,6 +366,13 @@ class TestWorkerDeath:
         spec = RunSpec(mode=dying_mode, seed=0)
         with pytest.raises(ExecutorError, match="'process'") as caught:
             engine.run_many([spec, spec.replace(seed=1)], executor="process")
+        assert isinstance(caught.value.__cause__, BrokenProcessPool)
+
+    def test_process_stacked_sweep_raises_executor_error(
+        self, engine, timing_spec, dying_stacks
+    ):
+        with pytest.raises(ExecutorError, match="'process'") as caught:
+            engine.sweep(timing_spec, executor="process", seed=[0, 1])
         assert isinstance(caught.value.__cause__, BrokenProcessPool)
 
     def test_cached_sweep_writes_nothing(self, engine, dying_mode, tmp_path):

@@ -17,6 +17,7 @@ import os
 import pytest
 
 from repro.api import Engine, ExecutorError, ProcessExecutor, RunSpec
+from repro.api import executors as executors_module
 from repro.api.engine import EngineError
 from repro.api.executors import _run_spec_in_subprocess
 
@@ -118,3 +119,67 @@ class TestPoolSize:
         monkeypatch.setattr(os, "process_cpu_count", lambda: None, raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: None)
         assert ProcessExecutor().pool_size(100) == 1
+
+    @pytest.mark.parametrize("units", (1, 2, 5, 16))
+    @pytest.mark.parametrize("workers", (None, 1, 2, 3, 7, 64))
+    def test_pool_size_rule(self, monkeypatch, workers, units):
+        # One worker per available CPU when unset, never more than units.
+        monkeypatch.setattr(os, "process_cpu_count", lambda: 4, raising=False)
+        expected = min(4 if workers is None else workers, units)
+        assert ProcessExecutor(workers=workers).pool_size(units) == expected
+
+
+class _InlinePool:
+    """Stands in for ``ProcessPoolExecutor``: records the requested pool
+    size and maps in the calling process."""
+
+    sizes: list[int] = []
+
+    def __init__(self, max_workers: int) -> None:
+        self.sizes.append(max_workers)
+
+    def __enter__(self) -> _InlinePool:
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        return None
+
+    def map(self, function, payloads):
+        return map(function, payloads)
+
+
+class _NoPool:
+    def __init__(self, max_workers: int) -> None:
+        raise AssertionError("an empty dispatch must not start a pool")
+
+
+class TestDispatch:
+    def test_worker_count_capped_by_spec_count(self, monkeypatch, engine, base_spec):
+        monkeypatch.setattr(_InlinePool, "sizes", [])
+        monkeypatch.setattr(executors_module, "ProcessPoolExecutor", _InlinePool)
+        specs = [base_spec.replace(seed=seed) for seed in (0, 1, 2)]
+        results = ProcessExecutor(workers=8).run_specs(engine, specs)
+        assert _InlinePool.sizes == [3]
+        assert results_json(results) == results_json(engine.run_many(specs))
+
+    def test_group_dispatch_sizes_pool_by_groups(
+        self, monkeypatch, engine, base_spec
+    ):
+        monkeypatch.setattr(_InlinePool, "sizes", [])
+        monkeypatch.setattr(executors_module, "ProcessPoolExecutor", _InlinePool)
+        stackable = base_spec.replace(rng_version=2)
+        groups = [
+            [stackable.replace(scheme=scheme, seed=seed) for seed in (0, 1)]
+            for scheme in ("naive", "cyclic")
+        ]
+        grouped = ProcessExecutor(workers=8).run_groups(engine, groups)
+        assert _InlinePool.sizes == [2]
+        assert grouped is not None
+        assert [results_json(unit) for unit in grouped] == [
+            results_json(engine.run_many(group)) for group in groups
+        ]
+
+    @pytest.mark.parametrize("method", ("run_specs", "run_groups"))
+    def test_empty_dispatch_starts_no_pool(self, monkeypatch, engine, method):
+        monkeypatch.setattr(executors_module, "ProcessPoolExecutor", _NoPool)
+        assert getattr(ProcessExecutor(), method)(engine, []) == []

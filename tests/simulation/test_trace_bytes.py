@@ -12,6 +12,7 @@ there needs a ``STORE_SCHEMA_VERSION`` bump.
 
 from __future__ import annotations
 
+import gc
 import hashlib
 
 import numpy as np
@@ -154,6 +155,34 @@ def bytes_round_trip(columns: TraceColumns) -> TraceColumns:
     return TraceColumns.from_bytes(*columns.to_bytes())
 
 
+class TestBytesWriter:
+    @pytest.mark.parametrize("dtype", ("<i8", "<f8", "|b1", "<i4", "<f4", "<u2"))
+    def test_arrays_round_trip_on_aligned_offsets(self, dtype):
+        rng = np.random.default_rng(1)
+        arrays = [
+            (rng.random(size) * 100).astype(dtype)
+            for size in (0, 1, 7, 9, 65, (3, 5))
+        ]
+        writer = BytesWriter()
+        specs = [writer.add(array) for array in arrays]
+        reader = BytesReader(writer.getvalue())
+        for array, spec in zip(arrays, specs, strict=True):
+            assert spec["offset"] % 64 == 0
+            restored = reader.array(spec)
+            assert restored.dtype == array.dtype
+            assert restored.shape == array.shape
+            assert restored.tobytes() == array.tobytes()
+
+    def test_non_contiguous_arrays_pack_by_value(self):
+        base = np.arange(24, dtype=np.float64).reshape(4, 6)
+        views = [base[:, ::2], base.T, base[::-1]]
+        writer = BytesWriter()
+        specs = [writer.add(view) for view in views]
+        reader = BytesReader(writer.getvalue())
+        for view, spec in zip(views, specs, strict=True):
+            assert np.array_equal(reader.array(spec), view)
+
+
 class TestRaggedColumnBytes:
     @pytest.mark.parametrize(
         "rows, nullable",
@@ -187,6 +216,25 @@ class TestTraceColumnsBytes:
     def test_round_trip_bit_identical(self, shape):
         columns = figure_shape_columns()[shape]
         assert_columns_equal(columns, bytes_round_trip(columns))
+
+    def test_arrays_survive_payload_gc(self):
+        columns = figure_shape_columns()["fail_stop_inf"]
+        descriptor, payload = columns.to_bytes()
+        restored = TraceColumns.from_bytes(descriptor, payload)
+        del payload
+        gc.collect()  # the views must keep their buffer alive
+        assert_columns_equal(columns, restored)
+
+    def test_unpacked_columns_read_only(self):
+        restored = bytes_round_trip(figure_shape_columns()["timing_nan_losses"])
+        for name in (
+            "iterations",
+            "durations",
+            "train_losses",
+            "compute_times",
+            "completion_times",
+        ):
+            assert not getattr(restored, name).flags.writeable, name
 
     def test_shared_writer_packs_many_blocks_in_one_payload(self):
         blocks = [
