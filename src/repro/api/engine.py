@@ -286,8 +286,7 @@ class Engine:
         ``executor`` says where they run: ``None`` (default) runs them one
         after another in-process; a registered name (``"process"``,
         ``"cached"``) or an :class:`~repro.api.executors.Executor` instance
-        hands them to that executor, e.g.
-        ``executor=ProcessExecutor(workers=4)``.  Every run's randomness
+        hands them to that executor.  Every run's randomness
         derives from its spec's seed, so results are bit-identical whatever
         the executor; only wall-clock time changes.
 

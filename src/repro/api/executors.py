@@ -24,7 +24,7 @@ Builtin executors
 -----------------
 ``process``
     A :class:`~concurrent.futures.ProcessPoolExecutor` returning pickled
-    ``RunResult`` objects; ``ProcessExecutor(workers=N)`` sets the pool size.
+    ``RunResult`` objects; one worker per available CPU.
 ``cached``
     Answers specs from a run store (:mod:`repro.store`) and computes the
     misses in-process or through an inner executor.
@@ -146,19 +146,18 @@ def _run_group_in_subprocess(spec_dicts: list[dict[str, Any]]) -> list[RunResult
 class ProcessExecutor(Executor):
     """Process pool; workers pickle whole ``RunResult`` objects back.
 
-    ``workers`` is the pool size; ``None`` means one worker per CPU
-    available to this process.  Either way the pool is clamped to the
-    number of dispatch units, so it never spawns idle workers.
+    The pool has one worker per CPU available to this process, clamped to
+    the number of dispatch units so it never spawns idle workers.
 
     A pool only pays off when per-unit work outweighs fork and pickle
-    costs.  Measured on 2 vCPUs with ``workers=2`` against the in-process
-    path (``executor=None``), it wins on the 7-protocol softmax compare
+    costs.  Measured on 2 vCPUs against the in-process path
+    (``executor=None``), it wins on the 7-protocol softmax compare
     (1.21 s vs 1.7–2.1 s) and loses on the Fig. 2a sweep (1.53 vs 0.85 s)
     and the Table II sweep (0.83 vs 0.38 s).  On the 7-protocol MLP
-    compare it is 2–10× slower (5.6–31 s from run to run, vs 3.3–3.5 s)
-    because of BLAS oversubscription: each forked worker keeps a full
-    OpenBLAS thread pool.  With ``OPENBLAS_NUM_THREADS=1`` the same
-    compare takes 2.3–3.3 s under ``process`` against 4.0–4.6 s
+    compare it takes 5.6–31 s from run to run against 3.3–3.5 s
+    in-process, because of BLAS oversubscription: each forked worker
+    keeps a full OpenBLAS thread pool.  With ``OPENBLAS_NUM_THREADS=1``
+    the same compare takes 2.3–3.3 s under ``process`` against 4.0–4.6 s
     in-process.
 
     A worker that dies (a crash, ``os._exit``, the OOM killer) breaks the
@@ -169,28 +168,17 @@ class ProcessExecutor(Executor):
     name = "process"
     requires_subprocess = True
 
-    def __init__(self, workers: int | None = None) -> None:
-        if workers is not None and (isinstance(workers, bool) or workers < 1):
-            raise ExecutorError(
-                "ProcessExecutor workers must be a positive int or None; "
-                f"got {workers!r}"
-            )
-        self.workers = workers
-
-    def pool_size(self, num_units: int) -> int:
+    @staticmethod
+    def pool_size(num_units: int) -> int:
         """Workers for a batch of ``num_units`` dispatch units.
 
-        With ``workers=None`` this counts the CPUs available to *this*
-        process: ``os.process_cpu_count`` (3.13+) respects the scheduling
-        affinity mask, so containers pinned to a CPU subset get the right
-        pool size; ``os.cpu_count`` is the fallback on older interpreters.
+        ``os.process_cpu_count`` (3.13+) respects the scheduling affinity
+        mask, so containers pinned to a CPU subset get the right pool size;
+        ``os.cpu_count`` is the fallback on older interpreters.
         """
-        workers = self.workers
-        if workers is None:
-            process_cpu_count = getattr(os, "process_cpu_count", None)
-            count = process_cpu_count() if process_cpu_count is not None else None
-            workers = count or os.cpu_count() or 1
-        return max(1, min(workers, num_units))
+        process_cpu_count = getattr(os, "process_cpu_count", None)
+        cpus = process_cpu_count() if process_cpu_count is not None else None
+        return max(1, min(cpus or os.cpu_count() or 1, num_units))
 
     def run_specs(self, engine: Engine, specs: Sequence[RunSpec]) -> list[RunResult]:
         return self._map(

@@ -112,9 +112,11 @@ class TestRegistry:
         assert resolve_executor(instance) is instance
         assert resolve_executor(None) is None
 
-    def test_resolve_unknown_name_lists_options(self):
+    @pytest.mark.parametrize("name", ("warp_drive", "serial", "thread", "process_shm"))
+    def test_resolve_unknown_name_lists_options(self, name):
+        # The removed executors' names are unknown like any other.
         with pytest.raises(RegistryError, match="process"):
-            resolve_executor("warp_drive")
+            resolve_executor(name)
 
     def test_resolve_rejects_non_executor_argument(self):
         with pytest.raises(ExecutorError, match="Executor"):
@@ -145,25 +147,10 @@ class TestRegistry:
         assert "parallel" not in parameters
         assert "policy" not in parameters
 
-    def test_sweep_rejects_a_parallel_axis(self, engine, timing_spec):
-        with pytest.raises(EngineError, match="unknown sweep axis 'parallel'"):
-            engine.sweep(timing_spec, parallel=[2], seed=[0, 1])
-
-    @pytest.mark.parametrize("keyword", ("parallel", "policy"))
-    @pytest.mark.parametrize("method", ("run_many", "compare"))
-    def test_removed_keywords_are_type_errors(
-        self, engine, timing_spec, method, keyword
-    ):
-        call = {
-            "run_many": lambda **kw: engine.run_many([timing_spec], **kw),
-            "compare": lambda **kw: engine.compare(timing_spec, ["naive"], **kw),
-        }[method]
-        with pytest.raises(TypeError, match=keyword):
-            call(**{keyword: 2})
-
-    def test_sweep_rejects_a_policy_axis(self, engine, timing_spec):
-        with pytest.raises(EngineError, match="unknown sweep axis 'policy'"):
-            engine.sweep(timing_spec, policy=[None], seed=[0, 1])
+    @pytest.mark.parametrize("axis", ("parallel", "policy"))
+    def test_sweep_rejects_a_removed_keyword_as_axis(self, engine, timing_spec, axis):
+        with pytest.raises(EngineError, match=f"unknown sweep axis '{axis}'"):
+            engine.sweep(timing_spec, **{axis: [2]}, seed=[0, 1])
 
     @pytest.mark.parametrize(
         "name, cls", (("process", ProcessExecutor), ("cached", CachedExecutor))
@@ -174,13 +161,8 @@ class TestRegistry:
         assert first is not second
         assert first.name == name
 
-    @pytest.mark.parametrize("name", ("serial", "thread", "process_shm"))
-    def test_removed_executor_names_are_unknown(self, name):
-        with pytest.raises(RegistryError, match="process"):
-            resolve_executor(name)
-
     def test_registered_instance_resolves_to_itself(self):
-        instance = ProcessExecutor(workers=1)
+        instance = ProcessExecutor()
         EXECUTORS.add("one_worker_pool", instance)
         try:
             assert resolve_executor("one_worker_pool") is instance

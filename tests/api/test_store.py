@@ -14,6 +14,8 @@ from pathlib import Path
 
 import pytest
 
+from repro import store as store_module
+from repro._registry import RUN_STORES
 from repro.api import Engine, RunSpec, StragglerSpec
 from repro.store import (
     STORE_DIR_ENV,
@@ -122,6 +124,44 @@ class TestCrashSafety:
         assert store.get(fingerprint) is None
         assert not store.contains(fingerprint)
 
+    @pytest.mark.parametrize(
+        "mangle",
+        (
+            lambda descriptor: [descriptor],
+            lambda descriptor: {**descriptor, "payload_bytes": "128"},
+            lambda descriptor: {
+                key: value
+                for key, value in descriptor.items()
+                if key != "payload_bytes"
+            },
+        ),
+        ids=("not_an_object", "payload_bytes_not_int", "payload_bytes_missing"),
+    )
+    def test_malformed_descriptor_is_a_miss(self, store, timing_result, mangle):
+        fingerprint = store.put_result(timing_result)
+        descriptor_path = store._descriptor_path(fingerprint)
+        descriptor = json.loads(descriptor_path.read_text("utf-8"))
+        descriptor_path.write_text(json.dumps(mangle(descriptor)), "utf-8")
+        assert store.get(fingerprint) is None
+        assert not store.contains(fingerprint)
+
+    def test_missing_payload_is_a_miss(self, store, timing_result):
+        fingerprint = store.put_result(timing_result)
+        store._payload_path(fingerprint).unlink()
+        assert store.get(fingerprint) is None
+        assert store.fingerprints() == ()
+
+    def test_failed_write_leaves_no_temp_file(
+        self, store, timing_result, monkeypatch
+    ):
+        def fail_replace(source, destination):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(store_module.os, "replace", fail_replace)
+        with pytest.raises(OSError, match="disk full"):
+            store.put_result(timing_result)
+        assert list(store._runs.iterdir()) == []
+
     def test_orphaned_payload_is_a_miss(self, store, timing_result):
         # A crash between the payload write and the descriptor write.
         fingerprint = timing_result.spec.fingerprint()
@@ -176,6 +216,13 @@ class TestFormatMarker:
         with pytest.raises(StoreError, match="not a repro run store"):
             FileRunStore(root)
 
+    def test_unreadable_marker_raises(self, tmp_path):
+        root = tmp_path / "store"
+        root.mkdir()
+        (root / "store.json").write_text("{truncated", "utf-8")
+        with pytest.raises(StoreError, match="unreadable store marker"):
+            FileRunStore(root)
+
     def test_schema_mismatch_raises(self, tmp_path):
         root = tmp_path / "store"
         root.mkdir()
@@ -214,6 +261,23 @@ class TestOpenStore:
     def test_unknown_kind_raises(self, tmp_path):
         with pytest.raises(Exception, match="no-such-store"):
             open_store(tmp_path, kind="no-such-store")
+
+    def test_registered_instance_is_returned_as_is(self, tmp_path):
+        instance = FileRunStore(tmp_path / "shared")
+        RUN_STORES.add("shared-instance", instance)
+        try:
+            assert open_store(tmp_path / "ignored", kind="shared-instance") is instance
+        finally:
+            RUN_STORES.unregister("shared-instance")
+        assert repr(instance) == f"FileRunStore({str(tmp_path / 'shared')!r})"
+
+    def test_factory_building_a_non_store_raises(self, tmp_path):
+        RUN_STORES.add("not-a-store", lambda path: {"path": path})
+        try:
+            with pytest.raises(StoreError, match="not a RunStore"):
+                open_store(tmp_path, kind="not-a-store")
+        finally:
+            RUN_STORES.unregister("not-a-store")
 
     def test_store_names_importable_from_repro_api(self):
         import repro.api as api

@@ -15,7 +15,7 @@ import json
 import pytest
 
 import repro.experiments.common as common_module
-from repro.api import CachedExecutor, Engine, ProcessExecutor, RunSpec
+from repro.api import CachedExecutor, Engine, RunSpec
 from repro.api.engine import EngineError
 from repro.api.spec import NetworkSpec, StragglerSpec
 from repro.store import FileRunStore
@@ -204,7 +204,7 @@ class TestPlannerFallbacks:
         )
         axes = {"seed": [0, 1, 2, 3], "rng_version": [1, 2]}
         serial = engine.sweep(base, **axes)
-        pooled = engine.sweep(base, executor=ProcessExecutor(workers=2), **axes)
+        pooled = engine.sweep(base, executor="process", **axes)
         assert results_json(serial) == results_json(pooled)
 
     def test_results_keep_sweep_order(self, engine):

@@ -12,12 +12,14 @@ from repro.metrics import (
     format_table,
     iteration_resource_usage,
     loss_at_time,
+    per_worker_resource_usage,
     run_resource_usage,
     speedup,
     speedup_table,
     time_to_loss,
     timing_stats,
     to_csv,
+    worker_participation,
 )
 from repro.simulation.trace import IterationRecord, RunTrace
 
@@ -67,6 +69,59 @@ class TestResourceUsage:
 
     def test_empty_trace_nan(self):
         assert np.isnan(run_resource_usage(RunTrace(scheme="x", cluster_name="c")))
+
+
+class TestPerWorkerUsage:
+    def trace(self) -> RunTrace:
+        trace = RunTrace(scheme="x", cluster_name="c")
+        trace.append(record(0, duration=2.0, compute=(1.0, 3.0)))
+        trace.append(record(1, duration=float("inf"), compute=(1.0, 1.0)))
+        trace.append(
+            IterationRecord(
+                iteration=2,
+                duration=1.0,
+                train_loss=1.0,
+                compute_times=(0.5, 1.0),
+                completion_times=(0.6, 1.1),
+                workers_used=(1,),
+            )
+        )
+        return trace
+
+    def test_busy_fraction_per_worker(self):
+        # Worker 1's 3.0 s is capped at the 2.0 s iteration; the stalled
+        # iteration counts zero for everyone.
+        usage = per_worker_resource_usage(self.trace())
+        assert usage == pytest.approx([(0.5 + 0.5) / 3, (1.0 + 1.0) / 3])
+
+    def test_mean_over_workers_is_the_run_usage(self):
+        trace = self.trace()
+        assert per_worker_resource_usage(trace).mean() == pytest.approx(
+            run_resource_usage(trace)
+        )
+
+    def test_participation_counts_combined_results(self):
+        assert worker_participation(self.trace()).tolist() == [2 / 3, 1.0]
+
+    def test_empty_trace_has_no_workers(self):
+        trace = RunTrace(scheme="x", cluster_name="c")
+        assert per_worker_resource_usage(trace).size == 0
+        assert worker_participation(trace).size == 0
+
+    def test_participation_rejects_ids_outside_the_cluster(self):
+        trace = RunTrace(scheme="x", cluster_name="c")
+        trace.append(
+            IterationRecord(
+                iteration=0,
+                duration=1.0,
+                train_loss=1.0,
+                compute_times=(1.0, 1.0),
+                completion_times=(1.1, 1.1),
+                workers_used=(0, 2),
+            )
+        )
+        with pytest.raises(ValueError, match="max id 2, num_workers 2"):
+            worker_participation(trace)
 
 
 class TestTimingStats:
