@@ -16,8 +16,8 @@ The package is organised in layers:
 * :mod:`repro.experiments` — the per-figure experiment harness (Table II
   clusters, Figures 2-5).
 * :mod:`repro.api` — the declarative front door: :class:`~repro.api.RunSpec`
-  describes a run, :class:`~repro.api.Engine` executes it through pluggable
-  backends, :class:`~repro.api.RunResult` carries trace + metrics + JSON
+  describes a run, :class:`~repro.api.Engine` executes it in its timing or
+  training mode, :class:`~repro.api.RunResult` carries trace + metrics + JSON
   round-trip, and the plugin registries (``@register_scheme``,
   ``@register_protocol``, ``@register_cluster``, ``register_workload``, ...)
   let new building blocks plug in without editing any dispatch table.

@@ -13,6 +13,11 @@ workloads, directly to the declarative object) plus free-form metadata.
 Registration order is preserved, so ``names()`` doubles as the canonical
 presentation order used by reports.
 
+A registry exists only for an axis the paper varies: coding schemes,
+training protocols, clusters, workloads, straggler models and network
+models.  Everything else (execution modes, executors, the run store) is a
+plain function or constant in the module that owns it.
+
 Adding a new scheme, protocol, cluster, workload, straggler model or
 network no longer requires editing hard-coded dicts — decorate a builder::
 
@@ -41,20 +46,12 @@ __all__ = [
     "WORKLOADS",
     "STRAGGLER_MODELS",
     "NETWORK_MODELS",
-    "EXECUTION_BACKENDS",
-    "EXECUTORS",
-    "ARRAY_BACKENDS",
-    "RUN_STORES",
     "register_scheme",
     "register_protocol",
     "register_cluster",
     "register_workload",
     "register_straggler_model",
     "register_network_model",
-    "register_backend",
-    "register_executor",
-    "register_array_backend",
-    "register_run_store",
 ]
 
 T = TypeVar("T")
@@ -170,33 +167,11 @@ STRAGGLER_MODELS: Registry[Callable[..., Any]] = Registry("straggler model")
 #: Network models: kind -> ``(**params) -> CommunicationModel``.
 NETWORK_MODELS: Registry[Callable[..., Any]] = Registry("network model")
 
-#: Execution backends: mode -> ``(RunSpec) -> RunTrace``.
-EXECUTION_BACKENDS: Registry[Callable[..., Any]] = Registry("execution backend")
-
-#: Sweep executors: name -> :class:`repro.api.executors.Executor` subclass
-#: (or ready instance) deciding how a batch of runs executes and how
-#: results travel back (in-process, pickle pool, shared-memory pool, ...).
-EXECUTORS: Registry[Any] = Registry("executor")
-
-#: Array backends: name -> :class:`repro.learning.backends.ArrayBackend`
-#: subclass (or ready instance) supplying the array namespace the hot
-#: matrix-algebra kernels run on (numpy builtin; CuPy/torch optional).
-ARRAY_BACKENDS: Registry[Any] = Registry("array backend")
-
-#: Run stores: name -> :class:`repro.store.RunStore` subclass (or opener
-#: callable) providing content-addressed persistence for run results
-#: (on-disk builtin; remote/object stores pluggable).
-RUN_STORES: Registry[Any] = Registry("run store")
-
 register_scheme = SCHEMES.register
 register_protocol = PROTOCOLS.register
 register_cluster = CLUSTERS.register
 register_straggler_model = STRAGGLER_MODELS.register
 register_network_model = NETWORK_MODELS.register
-register_backend = EXECUTION_BACKENDS.register
-register_executor = EXECUTORS.register
-register_array_backend = ARRAY_BACKENDS.register
-register_run_store = RUN_STORES.register
 
 
 def register_workload(workload: Any = None, *, replace: bool = False):

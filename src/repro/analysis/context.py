@@ -164,7 +164,6 @@ _REGISTRY_GLOBALS = frozenset(
         "WORKLOADS",
         "STRAGGLER_MODELS",
         "NETWORK_MODELS",
-        "EXECUTION_BACKENDS",
         "RULES",
     }
 )

@@ -297,9 +297,9 @@ def _is_set_expr(node: ast.expr) -> bool:
 @register_rule(
     "REG001",
     summary=(
-        "StragglerInjector/CommunicationModel/TrainingProtocol/Model/"
-        "Executor/ArrayBackend/RunStore subclasses must be registered "
-        "(decorator, REGISTRY.add builder, or registrar-module reference)"
+        "StragglerInjector/CommunicationModel/TrainingProtocol/Model "
+        "subclasses must be registered (decorator, REGISTRY.add builder, "
+        "or registrar-module reference)"
     ),
 )
 class UnregisteredPluginRule(LintRule):
@@ -326,9 +326,6 @@ class UnregisteredPluginRule(LintRule):
         "CommunicationModel",
         "TrainingProtocol",
         "Model",
-        "Executor",
-        "ArrayBackend",
-        "RunStore",
     )
 
     def check(self, ctx: FileContext, project: ProjectContext) -> Iterator[Finding]:

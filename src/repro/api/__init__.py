@@ -6,18 +6,16 @@ One code path serves every scheme, protocol, cluster and workload:
   a run (scheme, cluster, workload, straggler model, network, partitioning
   policy, seed, execution mode);
 * :class:`Engine` — validates specs against the plugin registries and
-  dispatches them to execution backends (``"timing"`` for the Figs. 2/3/5
-  path, ``"training"`` for the full Fig. 4 protocol path), plus
+  runs them in one of two modes (``"timing"`` for the Figs. 2/3/5 path,
+  ``"training"`` for the full Fig. 4 protocol path), plus
   :meth:`Engine.sweep` / :meth:`Engine.compare` for parameter grids;
 * :class:`RunResult` — the uniform outcome (spec + raw trace + derived
   metrics) with a lossless JSON round-trip;
-* the plugin registries (:mod:`repro.api.registry`) and their decorators —
-  ``@register_scheme``, ``@register_protocol``, ``@register_cluster``,
-  ``register_workload``, ``@register_straggler_model``,
-  ``@register_network_model``, ``@register_backend``,
-  ``@register_executor``, ``@register_array_backend`` — through which new
-  building blocks plug in
-  without editing any dispatch table;
+* the plugin registries (:mod:`repro.api.registry`), one per axis the
+  paper varies, and their decorators — ``@register_scheme``,
+  ``@register_protocol``, ``@register_cluster``, ``register_workload``,
+  ``@register_straggler_model``, ``@register_network_model`` — through
+  which new building blocks plug in without editing any dispatch table;
 * the sweep executors (:mod:`repro.api.executors`) — ``process`` and
   ``cached`` — chosen by the one ``executor=`` argument of
   :meth:`Engine.run_many` / :meth:`Engine.sweep` / :meth:`Engine.compare`;
@@ -25,8 +23,8 @@ One code path serves every scheme, protocol, cluster and workload:
   every executor is bit-identical to;
 * the engine-as-a-service layer: :func:`fingerprint` /
   :meth:`RunSpec.fingerprint` (the content address of a run),
-  :class:`RunStore` / :class:`FileRunStore` / :func:`open_store`
-  (persistent fingerprint-addressed results, :mod:`repro.store`),
+  :class:`FileRunStore` (persistent fingerprint-addressed results,
+  :mod:`repro.store`),
   :class:`CachedExecutor` (``executor="cached"`` — resumable sweeps) and
   :class:`~repro.api.client.ServiceClient` for the ``repro serve`` HTTP
   server (:mod:`repro.serve`).
@@ -61,25 +59,17 @@ from .executors import (
     ProcessExecutor,
 )
 from .registry import (
-    ARRAY_BACKENDS,
     CLUSTERS,
-    EXECUTION_BACKENDS,
-    EXECUTORS,
     NETWORK_MODELS,
     PROTOCOLS,
-    RUN_STORES,
     SCHEMES,
     STRAGGLER_MODELS,
     WORKLOADS,
     Registry,
     RegistryError,
-    register_array_backend,
-    register_backend,
     register_cluster,
-    register_executor,
     register_network_model,
     register_protocol,
-    register_run_store,
     register_scheme,
     register_straggler_model,
     register_workload,
@@ -99,9 +89,7 @@ from .spec import (
 # dependency graph, yet its names belong on the public surface ("importable
 # from repro.api alone").  A lazy PEP 562 attribute hook re-exports them
 # without creating an import cycle, whichever module is imported first.
-_STORE_EXPORTS = frozenset(
-    {"RunStore", "FileRunStore", "StoreError", "default_store_path", "open_store"}
-)
+_STORE_EXPORTS = frozenset({"FileRunStore", "StoreError", "default_store_path"})
 
 
 def __getattr__(name: str) -> object:
@@ -134,19 +122,13 @@ __all__ = [
     "WORKLOADS",
     "STRAGGLER_MODELS",
     "NETWORK_MODELS",
-    "EXECUTION_BACKENDS",
-    "EXECUTORS",
-    "ARRAY_BACKENDS",
-    "RUN_STORES",
     "Executor",
     "ExecutorError",
     "ProcessExecutor",
     "CachedExecutor",
-    "RunStore",
     "FileRunStore",
     "StoreError",
     "default_store_path",
-    "open_store",
     "ServiceClient",
     "ClientError",
     "RunResponse",
@@ -157,10 +139,6 @@ __all__ = [
     "register_workload",
     "register_straggler_model",
     "register_network_model",
-    "register_backend",
-    "register_executor",
-    "register_array_backend",
-    "register_run_store",
     "build_injector",
     "build_network",
 ]

@@ -4,7 +4,7 @@ The simulation layer defines the injector and communication-model *classes*;
 this module maps declarative spec kinds (the strings appearing in
 :class:`~repro.api.spec.StragglerSpec` / :class:`~repro.api.spec.NetworkSpec`)
 to those classes and exposes :func:`build_injector` / :func:`build_network`
-for the execution backends.  Every run gets a fresh instance, so stateful
+for the engine's execution modes.  Every run gets a fresh instance, so stateful
 injectors (e.g. ``bursty``) never leak state across runs.
 
 New models plug in through the registries::
@@ -145,7 +145,7 @@ def _build_overlapped(
 
 
 # ---------------------------------------------------------------------------
-# builders used by the execution backends
+# builders used by the engine's execution modes
 # ---------------------------------------------------------------------------
 
 def build_injector(spec: StragglerSpec) -> StragglerInjector:

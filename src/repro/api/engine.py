@@ -4,35 +4,26 @@ The engine does three things and nothing else:
 
 1. **validate** the spec's names against the plugin registries (clear errors
    listing what *is* available);
-2. **dispatch** to the execution backend registered for ``spec.mode`` —
-   ``"timing"`` wraps the timing-only path used by Figs. 2/3/5 and
-   ``"training"`` wraps the full protocol path used by Fig. 4;
-3. **normalise** the backend's :class:`~repro.simulation.trace.RunTrace`
+2. **dispatch** on ``spec.mode`` through the constant :data:`_MODES`
+   table — ``"timing"`` runs the timing-only path used by Figs. 2/3/5 and
+   ``"training"`` the full protocol path used by Fig. 4;
+3. **normalise** the mode's :class:`~repro.simulation.trace.RunTrace`
    into a :class:`~repro.api.result.RunResult` with a uniform metric set.
 
 :meth:`Engine.sweep` and :meth:`Engine.compare` are thin declarative loops
 over :meth:`Engine.run`, which is what the per-figure experiments and the
-CLI are built from.  Custom backends register with
-:func:`repro.api.register_backend` and immediately gain all three.
+CLI are built from.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, fields
 from typing import Any
 
-from .._registry import (
-    ARRAY_BACKENDS,
-    CLUSTERS,
-    EXECUTION_BACKENDS,
-    PROTOCOLS,
-    SCHEMES,
-    WORKLOADS,
-    register_backend,
-)
+from .._registry import CLUSTERS, PROTOCOLS, SCHEMES, WORKLOADS
 from ..experiments.clusters import build_cluster
 from ..experiments.common import _timing_setup, _TimingSetup, measure_timing_trace
 from ..experiments.workloads import get_workload
@@ -111,10 +102,9 @@ def _build_cluster_for(spec: RunSpec) -> ClusterSpec:
 
 
 # ---------------------------------------------------------------------------
-# builtin backends
+# execution modes
 # ---------------------------------------------------------------------------
 
-@register_backend("timing", description="timing-only simulation (Figs. 2/3/5)")
 def _run_timing(spec: RunSpec) -> RunTrace:
     total_samples = spec.resolved_total_samples()
     # measure_timing_trace's default routes through the process-wide kernel
@@ -147,7 +137,6 @@ def _cached_dataset(workload: str, total_samples: int | None, seed: int):
     return get_workload(workload).make_dataset(total_samples, seed=seed)
 
 
-@register_backend("training", description="full protocol training (Fig. 4)")
 def _run_training(spec: RunSpec) -> RunTrace:
     cluster = _build_cluster_for(spec)
     preset = get_workload(spec.workload)
@@ -181,9 +170,7 @@ def _run_training(spec: RunSpec) -> RunTrace:
     )
     return run_scheme(
         spec.scheme,
-        model_factory=lambda: preset.make_model(
-            dataset, seed=spec.seed or 0
-        ).use_array_backend(spec.array_backend),
+        model_factory=lambda: preset.make_model(dataset, seed=spec.seed or 0),
         dataset=dataset,
         cluster=cluster,
         config=config,
@@ -192,23 +179,20 @@ def _run_training(spec: RunSpec) -> RunTrace:
     )
 
 
+#: Execution mode -> ``(RunSpec) -> RunTrace``; the keys are
+#: :data:`~repro.api.spec.RUN_MODES`.
+_MODES: dict[str, Callable[[RunSpec], RunTrace]] = {
+    "timing": _run_timing,
+    "training": _run_training,
+}
+
+
 # ---------------------------------------------------------------------------
 # the engine
 # ---------------------------------------------------------------------------
 
 class Engine:
-    """Execute :class:`RunSpec` objects through pluggable backends.
-
-    Parameters
-    ----------
-    backends:
-        Optional mode -> backend mapping overriding the global registry
-        (useful for tests injecting fakes); ``None`` uses
-        :data:`repro.api.registry.EXECUTION_BACKENDS`.
-    """
-
-    def __init__(self, backends: Mapping[str, Any] | None = None) -> None:
-        self._backends = None if backends is None else dict(backends)
+    """Execute :class:`RunSpec` objects in the mode each spec names."""
 
     @staticmethod
     def timing_kernel_cache() -> TimingKernelCache:
@@ -221,24 +205,18 @@ class Engine:
         default_timing_kernel_cache().clear()
 
     # -- validation ----------------------------------------------------
-    def _backend(self, mode: str):
-        if self._backends is not None:
-            if mode not in self._backends:
-                raise EngineError(
-                    f"unknown mode {mode!r}; this engine supports "
-                    f"{sorted(self._backends)}"
-                )
-            return self._backends[mode]
-        if mode not in EXECUTION_BACKENDS:
+    @staticmethod
+    def _mode(mode: str) -> Callable[[RunSpec], RunTrace]:
+        try:
+            return _MODES[mode]
+        except KeyError:
             raise EngineError(
-                f"unknown mode {mode!r}; registered backends: "
-                f"{list(EXECUTION_BACKENDS.names())}"
-            )
-        return EXECUTION_BACKENDS.get(mode)
+                f"unknown mode {mode!r}; modes: {list(_MODES)}"
+            ) from None
 
     def validate(self, spec: RunSpec) -> None:
         """Check every name in ``spec`` against the registries."""
-        self._backend(spec.mode)
+        self._mode(spec.mode)
         if spec.mode == "timing" and spec.scheme not in SCHEMES:
             raise EngineError(
                 f"unknown scheme {spec.scheme!r}; registered schemes: "
@@ -255,11 +233,6 @@ class Engine:
                     f"unknown workload {spec.workload!r}; registered workloads: "
                     f"{list(WORKLOADS.names())}"
                 )
-            if spec.array_backend not in ARRAY_BACKENDS:
-                raise EngineError(
-                    f"unknown array backend {spec.array_backend!r}; registered "
-                    f"array backends: {list(ARRAY_BACKENDS.names())}"
-                )
         if spec.cluster not in CLUSTERS and "vcpu_counts" not in spec.cluster_options:
             raise EngineError(
                 f"unknown cluster {spec.cluster!r}; registered clusters: "
@@ -272,8 +245,7 @@ class Engine:
         if not isinstance(spec, RunSpec):
             raise SpecError(f"Engine.run expects a RunSpec, got {type(spec).__name__}")
         self.validate(spec)
-        backend = self._backend(spec.mode)
-        trace = backend(spec)
+        trace = self._mode(spec.mode)(spec)
         return RunResult.from_trace(spec, trace)
 
     def run_many(
@@ -288,32 +260,19 @@ class Engine:
         ``"cached"``) or an :class:`~repro.api.executors.Executor` instance
         hands them to that executor.  Every run's randomness
         derives from its spec's seed, so results are bit-identical whatever
-        the executor; only wall-clock time changes.
-
-        Raises
-        ------
-        EngineError
-            When subprocess execution is requested on an engine carrying
-            injected (non-registry) backends — those cannot be rebuilt in a
-            worker process.
+        the executor; only wall-clock time changes.  Under an explicit
+        executor every spec is validated before any of them runs.
         """
         specs = list(specs)
         chosen = resolve_executor(executor)
         if chosen is None:
             return [self.run(spec) for spec in specs]
-        if chosen.requires_subprocess:
-            if self._backends is not None:
-                raise EngineError(
-                    "subprocess execution requires registry-backed engines; "
-                    "this engine carries injected backends that worker "
-                    "processes cannot reconstruct"
+        for spec in specs:
+            if not isinstance(spec, RunSpec):
+                raise SpecError(
+                    f"Engine.run_many expects RunSpecs, got {type(spec).__name__}"
                 )
-            for spec in specs:
-                if not isinstance(spec, RunSpec):
-                    raise SpecError(
-                        f"Engine.run_many expects RunSpecs, got {type(spec).__name__}"
-                    )
-                self.validate(spec)  # fail fast in the parent process
+            self.validate(spec)  # fail fast, before any worker starts
         return chosen.run_specs(self, specs)
 
     # -- sweep planner --------------------------------------------------
@@ -321,10 +280,9 @@ class Engine:
     # ``sweep`` partitions its specs into *stackable groups* — runs whose
     # timing (or SSP schedule scan) can be evaluated as one run-stacked
     # kernel call — and a remainder executed through :meth:`run_many`.
-    # Stacking requires the builtin registry backends, ``rng_version=2``
-    # and an explicit seed: each run then owns per-component RNG streams,
-    # so its slice of the stacked output is bit-identical to a standalone
-    # :meth:`run` of the same spec.
+    # Stacking requires ``rng_version=2`` and an explicit seed: each run
+    # then owns per-component RNG streams, so its slice of the stacked
+    # output is bit-identical to a standalone :meth:`run` of the same spec.
 
     def _timing_stackable(self, spec: RunSpec) -> bool:
         return (
@@ -332,9 +290,6 @@ class Engine:
             and spec.rng_version == 2
             and spec.seed is not None
             and spec.num_iterations > 0
-            and self._backends is None
-            and "timing" in EXECUTION_BACKENDS
-            and EXECUTION_BACKENDS.get("timing") is _run_timing
         )
 
     def _training_stackable(self, spec: RunSpec) -> bool:
@@ -342,9 +297,6 @@ class Engine:
             spec.mode == "training"
             and spec.rng_version == 2
             and spec.seed is not None
-            and self._backends is None
-            and "training" in EXECUTION_BACKENDS
-            and EXECUTION_BACKENDS.get("training") is _run_training
         )
 
     @staticmethod
@@ -448,9 +400,7 @@ class Engine:
             rng_streams=streams,
         )
         partitioned = _partition_for_scheme(spec.scheme, dataset, cluster, config)
-        model = preset.make_model(dataset, seed=spec.seed or 0).use_array_backend(
-            spec.array_backend
-        )
+        model = preset.make_model(dataset, seed=spec.seed or 0)
         # The stacked scan shares one protocol instance and one clock-matrix
         # shape; everything else (dataset, network, injector, optimiser)
         # stays per-run, so it may vary freely inside a group.
@@ -656,10 +606,10 @@ class Engine:
         yields the six runs naive/0, naive/1, ... cyclic/2.
 
         Sweeps are *planned*: specs that share their decode structure and
-        kernel inputs (registry backends, ``rng_version=2``, explicit
-        seeds) are executed as run-stacked groups — one 3-D kernel call (or
-        one stacked SSP schedule scan) per group instead of one call per
-        run — and everything else falls back to :meth:`run_many`.  Under
+        kernel inputs (``rng_version=2``, explicit seeds) are executed as
+        run-stacked groups — one 3-D kernel call (or one stacked SSP
+        schedule scan) per group instead of one call per run — and
+        everything else falls back to :meth:`run_many`.  Under
         ``executor=None`` a stackable timing spec with no stack partner
         runs as a 1-run stack, so its cluster and strategy are built once.
         Stacking never changes results: each run draws from its own seed's

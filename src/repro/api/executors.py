@@ -1,19 +1,13 @@
-"""Pluggable sweep executors: *what* runs is the engine's job, *where* runs
-execute is an :class:`Executor`'s.
+"""Sweep executors: *what* runs is the engine's job, *where* runs execute
+is an :class:`Executor`'s.
 
 The engine plans a sweep into stacked groups plus a ragged remainder
 (:meth:`repro.api.engine.Engine._run_sweep_specs`).  With ``executor=None``
 it runs every unit in-process; that path is the reference.  An explicit
-executor is offered the planned units instead.  Executors register under
-short names::
+executor — a builtin name or an :class:`Executor` instance — is offered
+the planned units instead::
 
-    from repro.api import register_executor
-
-    @register_executor("my_executor")
-    class MyExecutor(Executor):
-        ...
-
-    engine.sweep(spec, executor="my_executor", seed=seeds)
+    engine.sweep(spec, executor="process", seed=seeds)
 
 The whole contract is **bit-identity**: every executor must return exactly
 the results ``executor=None`` would, in the same order.  Each run draws all
@@ -39,12 +33,11 @@ from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from typing import TYPE_CHECKING, Any, TypeVar
 
-from .._registry import EXECUTORS, register_executor
 from .result import RunResult
 from .spec import RunSpec
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
-    from ..store import RunStore
+    from ..store import FileRunStore
     from .engine import Engine
 
 __all__ = [
@@ -60,8 +53,8 @@ _Output = TypeVar("_Output")
 
 
 class ExecutorError(ValueError):
-    """Raised on invalid executor arguments or registrations, and when an
-    executor's worker processes fail."""
+    """Raised on invalid executor arguments, and when an executor's worker
+    processes fail."""
 
 
 class Executor(ABC):
@@ -75,11 +68,8 @@ class Executor(ABC):
     return results bit-identical to ``executor=None``.
     """
 
-    #: Registry name (informational; set on the builtin subclasses).
+    #: Builtin name (informational; set on the builtin subclasses).
     name: str = ""
-    #: True when workers rebuild the engine from the global registries in a
-    #: subprocess — such executors reject engines with injected backends.
-    requires_subprocess: bool = False
 
     @abstractmethod
     def run_specs(self, engine: Engine, specs: Sequence[RunSpec]) -> list[RunResult]:
@@ -97,29 +87,33 @@ class Executor(ABC):
 
 
 def resolve_executor(executor: Executor | str | None) -> Executor | None:
-    """Resolve ``executor=`` arguments: ``None``, a name, or an instance."""
+    """Resolve ``executor=`` arguments: ``None``, a name, or an instance.
+
+    A name builds a fresh instance of the builtin executor it names.
+    """
     if executor is None:
         return None
     if isinstance(executor, Executor):
         return executor
     if isinstance(executor, str):
-        entry = EXECUTORS.get(executor)  # unknown names raise, listing options
-        instance = entry() if isinstance(entry, type) else entry
-        if not isinstance(instance, Executor):
+        named: dict[str, type[Executor]] = {
+            "process": ProcessExecutor,
+            "cached": CachedExecutor,
+        }
+        if executor not in named:
             raise ExecutorError(
-                f"registered executor {executor!r} resolved to {instance!r}, "
-                "which is not an Executor"
+                f"unknown executor {executor!r}; expected one of {list(named)}"
             )
-        return instance
+        return named[executor]()
     raise ExecutorError(
-        "executor must be None, a registered name or an Executor instance; "
+        "executor must be None, a builtin name or an Executor instance; "
         f"got {type(executor).__name__}"
     )
 
 
 # ---------------------------------------------------------------------------
 # subprocess entry points (module-level so they pickle under every start
-# method; each worker rebuilds a fresh registry-backed Engine, and every
+# method; each worker rebuilds a fresh Engine, and every
 # run draws all randomness from its spec's seed — bit-identical by design)
 # ---------------------------------------------------------------------------
 
@@ -142,7 +136,6 @@ def _run_group_in_subprocess(spec_dicts: list[dict[str, Any]]) -> list[RunResult
 # builtin executors
 # ---------------------------------------------------------------------------
 
-@register_executor("process", description="process pool, pickled results")
 class ProcessExecutor(Executor):
     """Process pool; workers pickle whole ``RunResult`` objects back.
 
@@ -166,7 +159,6 @@ class ProcessExecutor(Executor):
     """
 
     name = "process"
-    requires_subprocess = True
 
     @staticmethod
     def pool_size(num_units: int) -> int:
@@ -208,12 +200,8 @@ class ProcessExecutor(Executor):
                 ) from exc
 
 
-@register_executor(
-    "cached",
-    description="run-store wrapper: hits from disk, misses via the inner executor",
-)
 class CachedExecutor(Executor):
-    """Answer specs from a :class:`~repro.store.RunStore`, compute the rest.
+    """Answer specs from a :class:`~repro.store.FileRunStore`, compute the rest.
 
     Wraps any inner executor (default: the engine's normal in-process
     paths).  Every spec with an explicit seed is fingerprinted and looked
@@ -240,13 +228,10 @@ class CachedExecutor(Executor):
     def __init__(
         self,
         inner: Executor | str | None = None,
-        store: RunStore | None = None,
+        store: FileRunStore | None = None,
         store_path: str | None = None,
     ) -> None:
         self.inner = resolve_executor(inner)
-        self.requires_subprocess = (
-            self.inner.requires_subprocess if self.inner is not None else False
-        )
         self._store = store
         self._store_path = store_path
         self.hits = 0
@@ -254,12 +239,12 @@ class CachedExecutor(Executor):
         self.uncacheable = 0
 
     @property
-    def store(self) -> RunStore:
+    def store(self) -> FileRunStore:
         """The backing store, opened lazily (honours ``$REPRO_STORE_DIR``)."""
         if self._store is None:
-            from ..store import open_store
+            from ..store import FileRunStore
 
-            self._store = open_store(self._store_path)
+            self._store = FileRunStore(self._store_path)
         return self._store
 
     def _lookup(self, spec: RunSpec) -> tuple[str | None, RunResult | None]:

@@ -14,25 +14,17 @@ expects.
 from __future__ import annotations
 
 from .._registry import (
-    ARRAY_BACKENDS,
     CLUSTERS,
-    EXECUTION_BACKENDS,
-    EXECUTORS,
     NETWORK_MODELS,
     PROTOCOLS,
-    RUN_STORES,
     SCHEMES,
     STRAGGLER_MODELS,
     WORKLOADS,
     Registry,
     RegistryError,
-    register_array_backend,
-    register_backend,
     register_cluster,
-    register_executor,
     register_network_model,
     register_protocol,
-    register_run_store,
     register_scheme,
     register_straggler_model,
     register_workload,
@@ -47,18 +39,10 @@ __all__ = [
     "WORKLOADS",
     "STRAGGLER_MODELS",
     "NETWORK_MODELS",
-    "EXECUTION_BACKENDS",
-    "EXECUTORS",
-    "ARRAY_BACKENDS",
-    "RUN_STORES",
     "register_scheme",
     "register_protocol",
     "register_cluster",
     "register_workload",
     "register_straggler_model",
     "register_network_model",
-    "register_backend",
-    "register_executor",
-    "register_array_backend",
-    "register_run_store",
 ]

@@ -1,7 +1,7 @@
 """Uniform run results: trace + derived metrics + JSON round-trip.
 
 Every :meth:`Engine.run() <repro.api.engine.Engine.run>` call returns a
-:class:`RunResult` regardless of backend, so downstream code (figures,
+:class:`RunResult` regardless of mode, so downstream code (figures,
 sweeps, the CLI, future caching layers) consumes one shape:
 
 * :attr:`RunResult.spec` — the exact :class:`~repro.api.spec.RunSpec` that
@@ -9,7 +9,7 @@ sweeps, the CLI, future caching layers) consumes one shape:
 * :attr:`RunResult.trace` — the raw per-iteration
   :class:`~repro.simulation.trace.RunTrace`;
 * :attr:`RunResult.metrics` — derived scalars computed identically for every
-  backend (mean iteration time, total time, resource usage, final loss, ...).
+  mode (mean iteration time, total time, resource usage, final loss, ...).
 
 ``to_json`` / ``from_json`` round-trip the whole object, numpy scalars and
 non-finite floats included.

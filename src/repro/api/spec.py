@@ -29,9 +29,7 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from .._registry import (
-    ARRAY_BACKENDS,
     CLUSTERS,
-    EXECUTION_BACKENDS,
     NETWORK_MODELS,
     PROTOCOLS,
     SCHEMES,
@@ -51,7 +49,7 @@ __all__ = [
     "fingerprint",
 ]
 
-#: Execution modes understood by the engine's builtin backends.
+#: Execution modes the engine runs.
 RUN_MODES: tuple[str, ...] = ("timing", "training")
 
 #: Default per-iteration dataset size for timing-only runs.
@@ -61,7 +59,9 @@ DEFAULT_TIMING_SAMPLES = 2048
 #: every :meth:`RunSpec.fingerprint`, so bumping it (when the segment
 #: layout or the fingerprint coverage changes incompatibly) invalidates
 #: every existing cache entry at once instead of serving stale payloads.
-STORE_SCHEMA_VERSION = 1
+#: Version 2 dropped the array-backend field and the execution-backend
+#: identity from the fingerprint payload.
+STORE_SCHEMA_VERSION = 2
 
 
 def _plugin_identity(registry: Registry[Any], name: str | None) -> str | None:
@@ -144,7 +144,7 @@ class RunSpec:
     mode:
         ``"timing"`` simulates iteration timing only (Figs. 2/3/5);
         ``"training"`` runs the full protocol with real numpy gradients
-        (Fig. 4).  Custom backends may register further modes.
+        (Fig. 4).
     cluster:
         Cluster name from the cluster registry (Table II builtins:
         ``"Cluster-A"`` ... ``"Cluster-D"``).
@@ -197,14 +197,6 @@ class RunSpec:
         draw whole traces in batched calls — statistically equivalent to
         v1 at matched seeds but not bit-identical.  See
         :mod:`repro.simulation.rng`.
-    array_backend:
-        Array backend the training-mode gradient kernels route their hot
-        matrix products through, resolved against the array-backend plugin
-        registry.  ``"numpy"`` (default) is bit-identical to every release
-        since the seed; ``"torch"`` / ``"cupy"`` are opt-in, require the
-        library installed, and are gated statistically (GPU gemms may
-        reassociate reductions).  Timing mode ignores it.  See
-        :mod:`repro.learning.backends`.
     """
 
     scheme: str = "heter_aware"
@@ -227,7 +219,6 @@ class RunSpec:
     record_loss_every: int = 1
     seed: int | None = 0
     rng_version: int = 1
-    array_backend: str = "numpy"
 
     def __post_init__(self) -> None:
         object.__setattr__(
@@ -282,11 +273,6 @@ class RunSpec:
                 f"unknown rng_version {self.rng_version!r}; "
                 f"supported versions: {list(RNG_VERSIONS)}"
             )
-        if not self.array_backend or not isinstance(self.array_backend, str):
-            raise SpecError(
-                f"array_backend must be a non-empty string, "
-                f"got {self.array_backend!r}"
-            )
 
     # -- derived quantities --------------------------------------------
     def resolved_total_samples(self) -> int | None:
@@ -329,8 +315,8 @@ class RunSpec:
         """Stable content hash of everything that determines this run.
 
         A sha256 hex digest over the canonical JSON form (sorted keys,
-        no whitespace) of the full field set — including ``seed``,
-        ``rng_version`` and ``array_backend`` — plus the *identities*
+        no whitespace) of the full field set — including ``seed`` and
+        ``rng_version`` — plus the *identities*
         (``module:qualname``) of every registry plugin the spec names and
         :data:`STORE_SCHEMA_VERSION`.  Two specs share a fingerprint iff
         the engine is contractually bound to produce bit-identical results
@@ -340,7 +326,7 @@ class RunSpec:
         * field order and default-vs-explicit construction never matter
           (``to_dict`` always emits the full field set);
         * the digest is stable across processes and machines;
-        * changing ``rng_version``, ``array_backend``, the seed, or
+        * changing ``rng_version``, the seed, or
           swapping any referenced plugin registration changes the key.
 
         Specs with ``seed=None`` still fingerprint (the digest is a pure
@@ -360,12 +346,10 @@ class RunSpec:
             "plugins": {
                 "scheme": _plugin_identity(SCHEMES, self.scheme),
                 "protocol": _plugin_identity(PROTOCOLS, self.scheme),
-                "backend": _plugin_identity(EXECUTION_BACKENDS, self.mode),
                 "cluster": _plugin_identity(CLUSTERS, self.cluster),
                 "workload": _plugin_identity(WORKLOADS, self.workload),
                 "straggler": _plugin_identity(STRAGGLER_MODELS, self.straggler.kind),
                 "network": _plugin_identity(NETWORK_MODELS, self.network.kind),
-                "array_backend": _plugin_identity(ARRAY_BACKENDS, self.array_backend),
             },
         }
 

@@ -35,10 +35,9 @@ from collections.abc import Sequence
 from ._registry import RegistryError
 from .api import Engine, RunSpec
 from .api.result import json_default
+from .api.spec import RUN_MODES
 from .api.registry import (
     CLUSTERS,
-    EXECUTION_BACKENDS,
-    EXECUTORS,
     NETWORK_MODELS,
     PROTOCOLS,
     SCHEMES,
@@ -172,9 +171,8 @@ def build_parser() -> argparse.ArgumentParser:
                           "single stream, 2 = per-component batched streams "
                           "(faster, statistically equivalent)")
     run.add_argument("--executor", default=None, metavar="NAME",
-                     help="registered executor to route the run through "
-                          f"({', '.join(EXECUTORS.names())}); "
-                          "default runs in-process")
+                     help="executor to route the run through "
+                          "(process, cached); default runs in-process")
     run.add_argument("--store", default=None, metavar="DIR",
                      help="answer the run from this run-store directory when "
                           "cached, computing and writing back otherwise "
@@ -493,17 +491,17 @@ def _command_serve(args: argparse.Namespace) -> str:
 
 def _command_plugins(_: argparse.Namespace) -> str:
     sections = [
-        ("schemes", SCHEMES),
-        ("protocols", PROTOCOLS),
-        ("clusters", CLUSTERS),
-        ("workloads", WORKLOADS),
-        ("straggler models", STRAGGLER_MODELS),
-        ("network models", NETWORK_MODELS),
-        ("execution backends", EXECUTION_BACKENDS),
+        ("schemes", SCHEMES.names()),
+        ("protocols", PROTOCOLS.names()),
+        ("clusters", CLUSTERS.names()),
+        ("workloads", WORKLOADS.names()),
+        ("straggler models", STRAGGLER_MODELS.names()),
+        ("network models", NETWORK_MODELS.names()),
+        ("execution modes", RUN_MODES),
     ]
     lines = ["Registered plugins:"]
-    for label, registry in sections:
-        lines.append(f"  {label:18s} {', '.join(registry.names())}")
+    for label, names in sections:
+        lines.append(f"  {label:18s} {', '.join(names)}")
     return "\n".join(lines)
 
 

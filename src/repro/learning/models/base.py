@@ -20,18 +20,27 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from collections.abc import Iterable, Iterator
 from contextlib import contextmanager
+from typing import Any
 
 import numpy as np
-
-from ..backends import ArrayBackend, NDArray, get_array_backend, numpy_backend
+import numpy.typing as npt
 
 __all__ = [
     "Model",
+    "NDArray",
     "ParameterLayout",
     "ModelError",
     "force_generic_kernels",
     "generic_kernels_forced",
 ]
+
+
+#: Annotation alias for host numpy arrays.  The kernel code is
+#: dtype-dynamic on purpose (float64 parameters, int64 labels, bool
+#: pooling masks share signatures), so the scalar type stays open;
+#: float64-ness of parameter vectors is a runtime contract enforced by
+#: :class:`ParameterLayout`.
+NDArray = npt.NDArray[Any]
 
 
 class ModelError(ValueError):
@@ -195,27 +204,10 @@ class Model(ABC):
 
     layout: ParameterLayout
 
-    #: Array backend the stacked kernels route their dominant matmuls
-    #: through.  Class-level default is the shared numpy identity backend
-    #: (bit-identical to pre-seam code); :meth:`use_array_backend`
-    #: installs a per-instance override.
-    array_backend: ArrayBackend = numpy_backend
-
     @property
     def num_parameters(self) -> int:
         """Dimension of the flat parameter vector."""
         return self.layout.total_size
-
-    def use_array_backend(self, backend: str | ArrayBackend) -> "Model":
-        """Select the array backend for this model's stacked kernels.
-
-        Accepts a registry name (``"numpy"``, ``"torch"``, ``"cupy"``, or
-        any :func:`repro._registry.register_array_backend` plugin) or a
-        ready :class:`~repro.learning.backends.ArrayBackend` instance.
-        Returns ``self`` so the call chains after construction.
-        """
-        self.array_backend = get_array_backend(backend)
-        return self
 
     @abstractmethod
     def parameters(self) -> NDArray:

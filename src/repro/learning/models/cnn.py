@@ -12,9 +12,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..backends import NDArray
 from ..losses import cross_entropy_loss, softmax, stacked_cross_entropy_loss
-from .base import Model, ModelError, ParameterLayout, generic_kernels_forced
+from .base import Model, ModelError, NDArray, ParameterLayout, generic_kernels_forced
 
 __all__ = ["SimpleCNN"]
 
@@ -336,19 +335,17 @@ class SimpleCNN(Model):
         parameter vector) or carry a leading ``s`` axis (one parameter
         vector per slice).  im2col is a pure gather, so running it once
         over the flattened ``s * n`` image stack reproduces the per-slice
-        columns exactly; the dominant products route through
-        :attr:`array_backend` as per-slice gemms of the scalar path's
-        dimensions and every reduction keeps its axis, so on the numpy
-        backend the results are **bit-identical** to looping
-        ``loss_and_gradient`` (asserted by the pairing property tests).
+        columns exactly; the dominant products are per-slice gemms of the
+        scalar path's dimensions and every reduction keeps its axis, so the
+        results are **bit-identical** to looping ``loss_and_gradient``
+        (asserted by the pairing property tests).
         """
-        backend = self.array_backend
         num_slices, n = images.shape[:2]
         columns_flat, out_h, out_w = _im2col(
             images.reshape(num_slices * n, *images.shape[2:]), self.kernel_size
         )
         columns = columns_flat.reshape(num_slices, n * out_h * out_w, -1)
-        conv = backend.matmul_numpy(columns, kernels) + kernel_bias
+        conv = np.matmul(columns, kernels) + kernel_bias
         conv = conv.reshape(num_slices, n, out_h, out_w, self.num_filters)
         relu_mask = conv > 0.0
         activated = conv * relu_mask
@@ -362,14 +359,14 @@ class SimpleCNN(Model):
         pool_mask = windows == pooled[:, :, :, None, :, None, :]
 
         flat = pooled.reshape(num_slices, n, -1)
-        logits = backend.matmul_numpy(flat, dense) + dense_bias
+        logits = np.matmul(flat, dense) + dense_bias
         losses, dlogits = stacked_cross_entropy_loss(logits, labels)
 
-        grad_dense = backend.matmul_numpy(np.swapaxes(flat, 1, 2), dlogits)
+        grad_dense = np.matmul(np.swapaxes(flat, 1, 2), dlogits)
         grad_dense_bias = dlogits.sum(axis=1)
 
         dense_t = dense.T if dense.ndim == 2 else np.swapaxes(dense, 1, 2)
-        dflat = backend.matmul_numpy(dlogits, dense_t)
+        dflat = np.matmul(dlogits, dense_t)
         dpooled = dflat.reshape(num_slices, n, pool_h, pool_w, self.num_filters)
         tie_counts = pool_mask.sum(axis=(3, 5), keepdims=True)
         dwindows = (
@@ -386,7 +383,7 @@ class SimpleCNN(Model):
 
         dconv = dactivated * relu_mask
         dconv_cols = dconv.reshape(num_slices, n * out_h * out_w, self.num_filters)
-        grad_kernels = backend.matmul_numpy(np.swapaxes(columns, 1, 2), dconv_cols)
+        grad_kernels = np.matmul(np.swapaxes(columns, 1, 2), dconv_cols)
         grad_kernel_bias = dconv_cols.sum(axis=1)
 
         gradients = np.concatenate(

@@ -10,9 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..backends import NDArray
 from ..losses import mean_squared_error_loss
-from .base import Model, ModelError, ParameterLayout, generic_kernels_forced
+from .base import Model, ModelError, NDArray, ParameterLayout, generic_kernels_forced
 
 __all__ = ["LinearRegressionModel"]
 

@@ -13,9 +13,8 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from ..backends import ArrayBackend, NDArray
 from ..losses import cross_entropy_loss, softmax, stacked_cross_entropy_loss
-from .base import Model, ModelError, ParameterLayout, generic_kernels_forced
+from .base import Model, ModelError, NDArray, ParameterLayout, generic_kernels_forced
 
 __all__ = ["MLPClassifier"]
 
@@ -28,7 +27,6 @@ def _stacked_mlp_kernel(
     weights: Sequence[NDArray],
     biases: Sequence[NDArray],
     activation: str,
-    backend: ArrayBackend,
     out: NDArray | None = None,
 ) -> tuple[NDArray, NDArray]:
     """Shared stacked MLP cross-entropy kernel.
@@ -38,9 +36,8 @@ def _stacked_mlp_kernel(
     (the many-slices/one-parameter-vector case) or an
     ``(s, fan_in, fan_out)`` stack (one parameter vector per slice), with
     ``biases[layer]`` broadcast to match (``(fan_out,)`` or
-    ``(s, 1, fan_out)``).  The dominant matrix products route through
-    ``backend``; on the numpy backend every product is a broadcast gemm
-    that runs per slice with exactly the scalar path's dimensions (shared
+    ``(s, 1, fan_out)``).  Every product is a broadcast gemm that runs
+    per slice with exactly the scalar path's dimensions (shared
     weights broadcast over the slice axis; folding the slices into one
     flat gemm is *not* bit-safe — BLAS picks different kernels at
     different row counts) and every reduction runs along the same axis,
@@ -62,7 +59,7 @@ def _stacked_mlp_kernel(
     current = features
     for layer in range(num_layers):
         layer_inputs.append(current)
-        pre = backend.matmul_numpy(current, weights[layer]) + biases[layer]
+        pre = np.matmul(current, weights[layer]) + biases[layer]
         pre_activations.append(pre)
         if layer < num_layers - 1:
             current = np.maximum(pre, 0.0) if activation == "relu" else np.tanh(pre)
@@ -91,9 +88,7 @@ def _stacked_mlp_kernel(
             shape=(num_slices, fan_in, fan_out),
             strides=(row_stride, fan_out * itemsize, itemsize),
         )
-        backend.matmul_into(
-            np.swapaxes(layer_inputs[layer], 1, 2), delta, weight_block
-        )
+        np.matmul(np.swapaxes(layer_inputs[layer], 1, 2), delta, out=weight_block)
         delta.sum(axis=1, out=gradients[:, bias_offset : bias_offset + fan_out])
         if layer > 0:
             layer_w = weights[layer]
@@ -103,8 +98,7 @@ def _stacked_mlp_kernel(
             else:
                 activation_grad = 1.0 - np.tanh(pre) ** 2
             delta = (
-                backend.matmul_numpy(delta, np.swapaxes(layer_w, -2, -1))
-                * activation_grad
+                np.matmul(delta, np.swapaxes(layer_w, -2, -1)) * activation_grad
             )
     return losses, gradients
 
@@ -310,7 +304,6 @@ class MLPClassifier(Model):
             self._weights,
             self._biases,
             self.activation,
-            self.array_backend,
             out=self._gradient_out(num_slices, out),
         )
 
@@ -372,5 +365,5 @@ class MLPClassifier(Model):
             biases.append(parameter_stack[:, np.newaxis, offset : offset + fan_out])
             offset += fan_out
         return _stacked_mlp_kernel(
-            features, labels, weights, biases, self.activation, self.array_backend
+            features, labels, weights, biases, self.activation
         )

@@ -8,9 +8,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..backends import ArrayBackend, NDArray, numpy_backend
 from ..losses import cross_entropy_loss, softmax, stacked_cross_entropy_loss
-from .base import Model, ModelError, ParameterLayout, generic_kernels_forced
+from .base import Model, ModelError, NDArray, ParameterLayout, generic_kernels_forced
 
 __all__ = ["SoftmaxClassifier"]
 
@@ -20,7 +19,6 @@ def _stacked_softmax_kernel(
     labels: NDArray,
     weights: NDArray,
     bias: NDArray,
-    backend: ArrayBackend = numpy_backend,
     out: NDArray | None = None,
 ) -> tuple[NDArray, NDArray]:
     """Shared stacked softmax cross-entropy kernel.
@@ -30,9 +28,8 @@ def _stacked_softmax_kernel(
     case, broadcast over the slice axis) or a ``(j, d, c)`` stack (one
     parameter vector per slice), with ``bias`` broadcast to match.  The cross-entropy math lives in
     :func:`repro.learning.losses.stacked_cross_entropy_loss` (shared with
-    the MLP/CNN kernels) and the dominant products route through
-    ``backend``; on the numpy backend the reductions run along the same
-    axes as the per-slice ``loss_and_gradient`` path, so the results are
+    the MLP/CNN kernels) and the reductions run along the same axes as
+    the per-slice ``loss_and_gradient`` path, so the results are
     **bit-identical** to looping it — both stacked entry points share this
     one kernel precisely so a numerical fix here cannot desynchronise them.
 
@@ -41,7 +38,7 @@ def _stacked_softmax_kernel(
     views, skipping the allocate-then-concatenate pass.
     """
     num_slices = features.shape[0]
-    logits = backend.matmul_numpy(features, weights) + bias  # (j, n, c)
+    logits = np.matmul(features, weights) + bias  # (j, n, c)
     losses, dlogits = stacked_cross_entropy_loss(logits, labels)
     num_features, num_classes = weights.shape[-2], weights.shape[-1]
     split = num_features * num_classes
@@ -54,7 +51,7 @@ def _stacked_softmax_kernel(
         strides=(gradients.strides[0], num_classes * gradients.itemsize,
                  gradients.itemsize),
     )
-    backend.matmul_into(np.swapaxes(features, 1, 2), dlogits, weight_block)
+    np.matmul(np.swapaxes(features, 1, 2), dlogits, out=weight_block)
     dlogits.sum(axis=1, out=gradients[:, split:])
     return losses, gradients
 
@@ -177,7 +174,6 @@ class SoftmaxClassifier(Model):
             labels,
             self._weights,
             self._bias,
-            self.array_backend,
             out=self._gradient_out(num_slices, out),
         )
 
@@ -220,6 +216,4 @@ class SoftmaxClassifier(Model):
             num_pairs, self.num_features, self.num_classes
         )
         bias = parameter_stack[:, np.newaxis, split:]  # (e, 1, c)
-        return _stacked_softmax_kernel(
-            features, labels, weights, bias, self.array_backend
-        )
+        return _stacked_softmax_kernel(features, labels, weights, bias)

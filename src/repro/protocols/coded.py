@@ -323,10 +323,7 @@ class CodedBSPProtocol(TrainingProtocol):
             if evaluate:
                 last_loss = float(partition_losses.sum()) * inverse_total
             train_losses[step] = last_loss
-            # The fused decode product routes through the model's array
-            # backend alongside the gradient kernels (numpy default is
-            # plain @, bit-identical).
-            aggregated = model.array_backend.matmul_numpy(combo, gradients)
+            aggregated = np.matmul(combo, gradients)
             aggregated *= inverse_total
             parameters = optimizer.step_inplace(parameters, aggregated)
             model.set_parameters(parameters)

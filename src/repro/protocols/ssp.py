@@ -799,11 +799,10 @@ class SSPProtocol(TrainingProtocol):
         per-update copy back into schedule order), and ``rows[i - start]``
         is the row holding update ``i``'s gradient.
 
-        Every builtin model vectorizes the batch kernel (softmax since
-        PR 5; MLP/CNN via their stacked kernels), so each group is one
-        matmul pass — and it runs on whatever :attr:`Model.array_backend`
-        the model carries.  Third-party models without an override fall
-        back to the generic per-slice loop at the group's snapshot.
+        Every builtin model vectorizes the batch kernel through its
+        stacked kernel, so each group is one matmul pass.  Third-party
+        models without an override fall back to the generic per-slice
+        loop at the group's snapshot.
         """
         if generic_kernels_forced() or (
             model.num_parameters * 8 < self._GROUPED_PARAM_BYTES_MIN

@@ -1,7 +1,7 @@
 """``repro serve``: the engine as a service, backed by the run store.
 
 A deliberately small stdlib-:mod:`http.server` front-end over
-:class:`~repro.api.engine.Engine` + :class:`~repro.store.RunStore` — no
+:class:`~repro.api.engine.Engine` + :class:`~repro.store.FileRunStore` — no
 web framework, no new dependencies, the same code path as the library:
 
 ``POST /run``
@@ -40,7 +40,7 @@ from .api.engine import Engine, EngineError
 from .api.executors import CachedExecutor
 from .api.result import json_default
 from .api.spec import RunSpec, SpecError
-from .store import RunStore, open_store
+from .store import FileRunStore
 
 __all__ = [
     "MAX_BODY_BYTES",
@@ -80,11 +80,11 @@ class SweepService:
     def __init__(
         self,
         engine: Engine | None = None,
-        store: RunStore | None = None,
+        store: FileRunStore | None = None,
         store_path: str | None = None,
     ) -> None:
         self.engine = engine if engine is not None else Engine()
-        self.store = store if store is not None else open_store(store_path)
+        self.store = store if store is not None else FileRunStore(store_path)
 
     @staticmethod
     def _parse_spec(payload: Any) -> RunSpec:

@@ -46,7 +46,7 @@ __all__ = [
 #: ``i`` of ``SeedSequence(seed)``, so adding new components must append.
 RNG_COMPONENTS: tuple[str, ...] = ("injector", "jitter", "network", "training")
 
-#: RunSpec-level RNG stream layouts understood by the execution backends.
+#: RunSpec-level RNG stream layouts understood by the engine's execution modes.
 RNG_VERSIONS: tuple[int, ...] = (1, 2)
 
 

@@ -972,7 +972,7 @@ class RunTrace:
         """Rebuild a trace from :meth:`to_dict` output (JSON round-trip).
 
         Every ``metadata`` key is preserved verbatim — the free-form run
-        parameters recorded by the backends (``effective_total_samples``,
+        parameters recorded by the engine's modes (``effective_total_samples``,
         ``num_workers``, drift diagnostics, ...) survive the round-trip.
         Unknown *top-level* keys warn with
         :class:`UnknownTraceFieldWarning` instead of disappearing silently.

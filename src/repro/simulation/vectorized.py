@@ -594,8 +594,8 @@ class TimingKernelCache:
         return kernel
 
 
-#: Process-wide kernel cache shared by every default code path — the engine
-#: timing backend and bare :func:`repro.experiments.common
+#: Process-wide kernel cache shared by every default code path — the engine's
+#: timing mode and bare :func:`repro.experiments.common
 #: .measure_timing_trace` calls alike — so fig2-style sweeps reuse kernels,
 #: decoders and memoised decode-order decisions across sweep points no
 #: matter which entry point drove them.  Decode decisions are pure functions

@@ -4,9 +4,9 @@
 JSON-round-trippable, so every run has a stable identity —
 :meth:`RunSpec.fingerprint() <repro.api.spec.RunSpec.fingerprint>`, a
 sha256 over the spec's canonical JSON plus the identities of the registry
-plugins it resolves to.  A :class:`RunStore` maps that fingerprint to the
-full :class:`~repro.api.result.RunResult`, turning repeated identical runs
-into lookups:
+plugins it resolves to.  A :class:`FileRunStore` maps that fingerprint to
+the full :class:`~repro.api.result.RunResult`, turning repeated identical
+runs into lookups:
 
 * the ``cached`` executor (:class:`repro.api.executors.CachedExecutor`)
   answers sweep specs from a store and computes only the misses, making
@@ -14,7 +14,7 @@ into lookups:
 * the sweep server (:mod:`repro.serve`) serves ``POST /run`` / ``POST
   /sweep`` hits straight from disk.
 
-The builtin :class:`FileRunStore` is an append-only columnar run log: one
+The store is an append-only columnar run log: one
 *segment* per result, stored as a small JSON descriptor
 (``runs/<fingerprint>.json`` — spec, metrics, trace metadata, column
 layout) plus a raw binary payload (``runs/<fingerprint>.bin`` — the
@@ -24,10 +24,6 @@ temp-then-:func:`os.replace`, payload before descriptor, so a crash can
 only ever leave an orphaned payload or a temp file — never a descriptor
 pointing at missing or truncated data.  Readers treat any incomplete or
 unparsable segment as a miss.
-
-Stores are pluggable through the ``RUN_STORES`` registry
-(``@register_run_store``); :func:`open_store` resolves a name to a ready
-instance the same way ``resolve_executor`` does for executors.
 """
 
 from __future__ import annotations
@@ -35,22 +31,18 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-from abc import ABC, abstractmethod
 from collections.abc import Iterable
 from pathlib import Path
 from typing import Any
 
-from ._registry import RUN_STORES, register_run_store
 from .api.result import RESULT_SCHEMA_VERSION, RunResult, json_default
 from .api.spec import STORE_SCHEMA_VERSION, RunSpec
 from .simulation.trace import RunTrace, TraceColumns
 
 __all__ = [
     "StoreError",
-    "RunStore",
     "FileRunStore",
     "default_store_path",
-    "open_store",
 ]
 
 #: Environment variable overriding :func:`default_store_path`.
@@ -62,58 +54,6 @@ _STORE_FORMAT = "repro-run-store"
 
 class StoreError(RuntimeError):
     """Raised when a store root is unusable (wrong format or schema)."""
-
-
-class RunStore(ABC):
-    """Content-addressed ``fingerprint -> RunResult`` persistence.
-
-    The contract mirrors a dict keyed by
-    :meth:`RunSpec.fingerprint() <repro.api.spec.RunSpec.fingerprint>`:
-    :meth:`get` / :meth:`put` / :meth:`contains` plus :meth:`gc` for
-    retention.  Implementations must round-trip results JSON-exactly —
-    ``store.get(fp).to_json() == result.to_json()`` for every stored
-    ``result`` — and must treat partially written entries as absent.
-    """
-
-    #: Registry name of the concrete store kind.
-    name = "base"
-
-    @abstractmethod
-    def get(self, fingerprint: str) -> RunResult | None:
-        """The stored result for ``fingerprint``, or ``None`` on a miss."""
-
-    @abstractmethod
-    def put(self, fingerprint: str, result: RunResult) -> None:
-        """Persist ``result`` under ``fingerprint`` (idempotent)."""
-
-    @abstractmethod
-    def contains(self, fingerprint: str) -> bool:
-        """Whether a complete segment exists for ``fingerprint``."""
-
-    @abstractmethod
-    def fingerprints(self) -> tuple[str, ...]:
-        """Every fingerprint with a complete segment."""
-
-    @abstractmethod
-    def gc(self, keep: Iterable[str]) -> int:
-        """Drop every segment whose fingerprint is not in ``keep``.
-
-        Returns the number of segments removed.
-        """
-
-    # -- conveniences ---------------------------------------------------
-    def get_result(self, spec: RunSpec) -> RunResult | None:
-        """Look up by spec (fingerprints it for you)."""
-        return self.get(spec.fingerprint())
-
-    def put_result(self, result: RunResult) -> str:
-        """Store under the result's own spec fingerprint; returns the key."""
-        fingerprint = result.spec.fingerprint()
-        self.put(fingerprint, result)
-        return fingerprint
-
-    def __contains__(self, fingerprint: object) -> bool:
-        return isinstance(fingerprint, str) and self.contains(fingerprint)
 
 
 def default_store_path() -> Path:
@@ -150,11 +90,19 @@ def _write_atomic(path: Path, data: bytes) -> None:
         raise
 
 
-@register_run_store("file")
-class FileRunStore(RunStore):
-    """Append-only on-disk run log, one descriptor+payload pair per result.
+class FileRunStore:
+    """Content-addressed ``fingerprint -> RunResult`` persistence on disk.
 
-    Layout under the root directory::
+    The contract mirrors a dict keyed by
+    :meth:`RunSpec.fingerprint() <repro.api.spec.RunSpec.fingerprint>`:
+    :meth:`get` / :meth:`put` / :meth:`contains` plus :meth:`gc` for
+    retention.  Results round-trip JSON-exactly —
+    ``store.get(fp).to_json() == result.to_json()`` for every stored
+    ``result`` — and partially written entries read as absent.
+
+    The store is an append-only run log, one descriptor+payload pair per
+    result.  Layout under the root directory (``None`` uses
+    :func:`default_store_path`)::
 
         store.json                 # format marker + store schema version
         runs/<fingerprint>.json    # segment descriptor (spec, metrics, layout)
@@ -165,8 +113,6 @@ class FileRunStore(RunStore):
     files, truncated payloads) reads as a miss and is reclaimed by
     :meth:`gc`.
     """
-
-    name = "file"
 
     def __init__(self, root: str | os.PathLike[str] | None = None) -> None:
         self.root = Path(root) if root is not None else default_store_path()
@@ -190,7 +136,9 @@ class FileRunStore(RunStore):
                 raise StoreError(
                     f"store schema mismatch at {self.root}: found "
                     f"{meta.get('store_schema')!r}, this build writes "
-                    f"{STORE_SCHEMA_VERSION}"
+                    f"{STORE_SCHEMA_VERSION}; its entries can never hit, so "
+                    f"point ${STORE_DIR_ENV} (or the store path) at a new "
+                    "directory, or delete this root to start it afresh"
                 )
             return
         payload = json.dumps(
@@ -206,8 +154,9 @@ class FileRunStore(RunStore):
     def _payload_path(self, fingerprint: str) -> Path:
         return self._runs / f"{fingerprint}.bin"
 
-    # -- RunStore contract ----------------------------------------------
+    # -- fingerprint -> result -----------------------------------------
     def put(self, fingerprint: str, result: RunResult) -> None:
+        """Persist ``result`` under ``fingerprint`` (idempotent)."""
         trace = result.trace
         layout, payload = trace.columns().to_bytes()
         descriptor = {
@@ -232,6 +181,7 @@ class FileRunStore(RunStore):
         _write_atomic(self._descriptor_path(fingerprint), encoded)
 
     def get(self, fingerprint: str) -> RunResult | None:
+        """The stored result for ``fingerprint``, or ``None`` on a miss."""
         descriptor = self._load_descriptor(fingerprint)
         if descriptor is None:
             return None
@@ -256,6 +206,7 @@ class FileRunStore(RunStore):
         )
 
     def contains(self, fingerprint: str) -> bool:
+        """Whether a complete segment exists for ``fingerprint``."""
         descriptor = self._load_descriptor(fingerprint)
         if descriptor is None:
             return False
@@ -266,6 +217,7 @@ class FileRunStore(RunStore):
         return size == descriptor["payload_bytes"]
 
     def fingerprints(self) -> tuple[str, ...]:
+        """Every fingerprint with a complete segment."""
         found = []
         for path in sorted(self._runs.glob("*.json")):
             fingerprint = path.stem
@@ -274,7 +226,10 @@ class FileRunStore(RunStore):
         return tuple(found)
 
     def gc(self, keep: Iterable[str]) -> int:
-        """Drop segments not in ``keep``; also sweeps orphans and temp files."""
+        """Drop segments not in ``keep``; also sweeps orphans and temp files.
+
+        Returns the number of segments removed.
+        """
         keep_set = set(keep)
         removed = 0
         complete = set(self.fingerprints())
@@ -290,6 +245,19 @@ class FileRunStore(RunStore):
             if name.endswith(".json"):
                 removed += 1
         return removed
+
+    def get_result(self, spec: RunSpec) -> RunResult | None:
+        """Look up by spec (fingerprints it for you)."""
+        return self.get(spec.fingerprint())
+
+    def put_result(self, result: RunResult) -> str:
+        """Store under the result's own spec fingerprint; returns the key."""
+        fingerprint = result.spec.fingerprint()
+        self.put(fingerprint, result)
+        return fingerprint
+
+    def __contains__(self, fingerprint: object) -> bool:
+        return isinstance(fingerprint, str) and self.contains(fingerprint)
 
     # -- introspection --------------------------------------------------
     def stats(self) -> dict[str, Any]:
@@ -326,20 +294,3 @@ class FileRunStore(RunStore):
 
     def __repr__(self) -> str:
         return f"FileRunStore({str(self.root)!r})"
-
-
-def open_store(
-    path: str | os.PathLike[str] | None = None, *, kind: str = "file"
-) -> RunStore:
-    """Open (creating if needed) a run store of the registered ``kind``.
-
-    ``path=None`` uses :func:`default_store_path`.  An already constructed
-    :class:`RunStore` registered under ``kind`` is returned as-is.
-    """
-    entry = RUN_STORES.get(kind)
-    if isinstance(entry, RunStore):
-        return entry
-    store = entry(path)
-    if not isinstance(store, RunStore):
-        raise StoreError(f"run store {kind!r} built {store!r}, not a RunStore")
-    return store

@@ -241,6 +241,21 @@ class TestREG001:
         assert rule_ids(report) == ["REG001"]
         assert "DeepOrphanNetwork" in report.findings[0].message
 
+    def test_only_paper_axis_roots_need_registration(self, lint_tree):
+        """Executors are chosen by name or instance, not from a registry."""
+        report = lint_tree(
+            {
+                "pkg/mod.py": """
+                from repro.api.executors import Executor
+
+                class InlineExecutor(Executor):
+                    def run_specs(self, engine, specs):
+                        return [engine.run(spec) for spec in specs]
+                """
+            }
+        )
+        assert report.findings == []
+
 
 class TestSPEC001:
     def test_flags_attribute_assignment_on_constructed_spec(self, lint_tree):

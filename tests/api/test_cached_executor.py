@@ -12,7 +12,14 @@ import json
 
 import pytest
 
-from repro.api import CachedExecutor, Engine, RunSpec, StragglerSpec
+from repro.api import (
+    CachedExecutor,
+    Engine,
+    EngineError,
+    ProcessExecutor,
+    RunSpec,
+    StragglerSpec,
+)
 from repro.store import FileRunStore
 
 
@@ -151,11 +158,25 @@ class TestUncacheable:
         assert store.fingerprints() == ()
 
 
+class TestValidation:
+    def test_invalid_spec_fails_before_any_store_write(
+        self, engine, store, timing_spec
+    ):
+        # run_many validates every spec before the executor sees any, so
+        # the valid spec ahead of the bad one is neither run nor stored.
+        executor = CachedExecutor(store=store)
+        bad = timing_spec.replace(scheme="no_such_scheme")
+        with pytest.raises(EngineError, match="unknown scheme"):
+            engine.run_many([timing_spec, bad], executor=executor)
+        assert executor.misses == 0
+        assert store.fingerprints() == ()
+
+
 class TestInnerExecutor:
     def test_wraps_inner_transport(self, engine, store, timing_spec):
         seeds = [0, 1, 2, 3]
         cold = CachedExecutor(inner="process", store=store)
-        assert cold.requires_subprocess
+        assert isinstance(cold.inner, ProcessExecutor)
         cold_results = engine.sweep(timing_spec, executor=cold, seed=seeds)
         assert (cold.hits, cold.misses) == (0, 4)
 
@@ -166,10 +187,3 @@ class TestInnerExecutor:
         assert results_json(warm_results) == results_json(
             engine.sweep(timing_spec, seed=seeds)
         )
-
-    def test_is_registered_executor(self):
-        from repro.api import EXECUTORS
-        from repro.api.executors import resolve_executor
-
-        assert EXECUTORS.get("cached") is CachedExecutor
-        assert isinstance(resolve_executor("cached"), CachedExecutor)

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from repro.api import Engine, EngineError, RunSpec, SpecError, StragglerSpec
+from repro.api import engine as engine_module
 from repro.experiments.clusters import build_cluster
 from repro.experiments.common import measure_timing_trace
 from repro.experiments.workloads import get_workload
@@ -47,36 +48,14 @@ class TestValidation:
         with pytest.raises(SpecError, match="expects a RunSpec"):
             Engine().run({"scheme": "naive"})
 
-    def test_unknown_array_backend_in_training_mode(self):
-        with pytest.raises(EngineError, match="unknown array backend"):
-            Engine().run(
-                RunSpec(mode="training", scheme="naive", array_backend="bogus")
-            )
-
-    def test_explicit_numpy_array_backend_is_bit_identical(self):
-        base = RunSpec(
-            mode="training",
-            scheme="ssp",
-            workload="cifar10_mlp",
-            num_iterations=3,
-            total_samples=256,
-            seed=0,
-        )
-        default = Engine().run(base)
-        explicit = Engine().run(base.replace(array_backend="numpy"))
-        assert default.metrics["final_loss"] == explicit.metrics["final_loss"]
-        np.testing.assert_array_equal(
-            default.trace.durations, explicit.trace.durations
-        )
-
     def test_ssp_is_a_protocol_not_a_scheme(self):
         with pytest.raises(EngineError, match="unknown scheme"):
             Engine().run(RunSpec(scheme="ssp", mode="timing"))
 
-    def test_backend_override(self):
+    def test_run_dispatches_through_mode_table(self, monkeypatch):
         sentinel_specs = []
 
-        def fake_backend(spec):
+        def fake_timing(spec):
             sentinel_specs.append(spec)
             return measure_timing_trace(
                 "naive",
@@ -87,12 +66,11 @@ class TestValidation:
                 seed=0,
             )
 
-        engine = Engine(backends={"timing": fake_backend})
-        result = engine.run(RunSpec(scheme="naive", num_iterations=1, total_samples=64))
-        assert len(sentinel_specs) == 1
+        monkeypatch.setitem(engine_module._MODES, "timing", fake_timing)
+        spec = RunSpec(scheme="naive", num_iterations=1, total_samples=64)
+        result = Engine().run(spec)
+        assert sentinel_specs == [spec]
         assert result.metrics["num_iterations"] == 1
-        with pytest.raises(EngineError, match="unknown mode"):
-            engine.run(RunSpec(mode="training", scheme="naive"))
 
 
 class TestTimingEquivalence:

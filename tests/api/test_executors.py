@@ -1,4 +1,4 @@
-"""Pluggable executors: every executor is bit-identical to ``executor=None``.
+"""Sweep executors: every executor is bit-identical to ``executor=None``.
 
 The executor layer decides where runs execute (in-process, a process pool,
 the run store); the whole contract is that none of that is visible in the
@@ -23,8 +23,6 @@ from pathlib import Path
 import pytest
 
 from repro.api import (
-    EXECUTION_BACKENDS,
-    EXECUTORS,
     CachedExecutor,
     Engine,
     Executor,
@@ -32,11 +30,10 @@ from repro.api import (
     ProcessExecutor,
     RunSpec,
     StragglerSpec,
-    register_executor,
 )
+from repro.api import engine as engine_module
 from repro.api.engine import EngineError
 from repro.api.executors import resolve_executor
-from repro.api.registry import RegistryError
 from repro.store import FileRunStore
 
 #: The builtin executors under test: the pool, and the store wrapped
@@ -103,10 +100,7 @@ def training_spec() -> RunSpec:
     )
 
 
-class TestRegistry:
-    def test_builtins_are_process_and_cached(self):
-        assert set(EXECUTORS.names()) == {"process", "cached"}
-
+class TestResolve:
     def test_resolve_instance_passthrough(self):
         instance = ProcessExecutor()
         assert resolve_executor(instance) is instance
@@ -115,30 +109,14 @@ class TestRegistry:
     @pytest.mark.parametrize("name", ("warp_drive", "serial", "thread", "process_shm"))
     def test_resolve_unknown_name_lists_options(self, name):
         # The removed executors' names are unknown like any other.
-        with pytest.raises(RegistryError, match="process"):
+        with pytest.raises(
+            ExecutorError, match=r"expected one of \['process', 'cached'\]"
+        ):
             resolve_executor(name)
 
     def test_resolve_rejects_non_executor_argument(self):
         with pytest.raises(ExecutorError, match="Executor"):
             resolve_executor(42)  # type: ignore[arg-type]
-
-    def test_custom_executor_usable_by_name(self, engine, timing_spec):
-        calls = []
-
-        @register_executor("counting")
-        class Counting(Executor):
-            name = "counting"
-
-            def run_specs(self, engine, specs):
-                calls.append(len(specs))
-                return [engine.run(spec) for spec in specs]
-
-        try:
-            results = engine.run_many([timing_spec], executor="counting")
-            assert calls == [1]
-            assert results_json(results) == results_json([engine.run(timing_spec)])
-        finally:
-            EXECUTORS.unregister("counting")
 
     @pytest.mark.parametrize("method", ("run_many", "sweep", "compare"))
     def test_executor_is_the_only_execution_argument(self, method):
@@ -160,22 +138,6 @@ class TestRegistry:
         assert type(first) is cls and type(second) is cls
         assert first is not second
         assert first.name == name
-
-    def test_registered_instance_resolves_to_itself(self):
-        instance = ProcessExecutor()
-        EXECUTORS.add("one_worker_pool", instance)
-        try:
-            assert resolve_executor("one_worker_pool") is instance
-        finally:
-            EXECUTORS.unregister("one_worker_pool")
-
-    def test_registered_non_executor_is_rejected(self):
-        EXECUTORS.add("not_an_executor", dict)
-        try:
-            with pytest.raises(ExecutorError, match="not an Executor"):
-                resolve_executor("not_an_executor")
-        finally:
-            EXECUTORS.unregister("not_an_executor")
 
 
 class TestBitIdentity:
@@ -277,38 +239,6 @@ class TestBitIdentity:
         check_against_reference(case, tmp_path, list(reference.values()), execute)
 
 
-class TestInjectedBackends:
-    @pytest.fixture()
-    def injected_engine(self):
-        real = Engine()
-        return Engine(backends={"timing": lambda spec: real.run(spec).trace})
-
-    @pytest.mark.parametrize("case", EXECUTOR_CASES)
-    def test_subprocess_executors_reject_injected_backends(
-        self, injected_engine, timing_spec, tmp_path, case
-    ):
-        executor = make_executor(case, tmp_path)
-        assert executor.requires_subprocess
-        with pytest.raises(EngineError, match="registry-backed"):
-            injected_engine.run_many([timing_spec], executor=executor)
-
-    def test_in_process_cached_accepts_injected_backends(
-        self, engine, injected_engine, timing_spec, tmp_path
-    ):
-        specs = [timing_spec, timing_spec.replace(seed=4)]
-        executor = CachedExecutor(store=FileRunStore(tmp_path / "store"))
-        results = injected_engine.run_many(specs, executor=executor)
-        assert results_json(results) == results_json(engine.run_many(specs))
-
-    def test_injected_backend_sweep_runs_in_process_by_default(
-        self, injected_engine, timing_spec
-    ):
-        # executor=None: injected-backend specs are never stackable and the
-        # in-process fallback handles them.
-        results = injected_engine.sweep(timing_spec, seed=[3, 4])
-        assert len(results) == 2
-
-
 def _exit_in_child(parent_pid: int) -> None:
     if os.getpid() == parent_pid:
         raise AssertionError("the dying code path ran in the parent process")
@@ -317,23 +247,20 @@ def _exit_in_child(parent_pid: int) -> None:
 
 @pytest.mark.skipif(
     multiprocessing.get_start_method() != "fork",
-    reason="the dying backend is registered at runtime; only fork children see it",
+    reason="the dying mode is patched in at runtime; only fork children see it",
 )
 class TestWorkerDeath:
     """A pool worker that dies mid-sweep fails the dispatch by name."""
 
     @pytest.fixture()
-    def dying_mode(self):
+    def dying_mode(self, monkeypatch):
         parent_pid = os.getpid()
 
-        def backend(spec):
+        def run_mode(spec):
             _exit_in_child(parent_pid)
 
-        EXECUTION_BACKENDS.add("die_in_worker", backend)
-        try:
-            yield "die_in_worker"
-        finally:
-            EXECUTION_BACKENDS.unregister("die_in_worker")
+        monkeypatch.setitem(engine_module._MODES, "die_in_worker", run_mode)
+        return "die_in_worker"
 
     @pytest.fixture()
     def dying_stacks(self, monkeypatch):
@@ -405,7 +332,7 @@ class TestCli:
         assert main([*self.ARGV, "--executor", name]) == 0
         assert capsys.readouterr().out == reference
 
-    def test_removed_executor_name_fails_with_registered_names(self):
+    def test_removed_executor_name_fails_with_builtin_names(self):
         env = {**os.environ, "PYTHONPATH": str(_SRC)}
         completed = subprocess.run(
             [sys.executable, "-m", "repro", *self.ARGV, "--executor", "thread"],

@@ -4,8 +4,9 @@ The fingerprint is the cache key of the run store, so two properties are
 load-bearing: *stability* (the digest never depends on construction
 order, default-vs-explicit fields, or the process that computes it) and
 *sensitivity* (anything the engine contract says may change results —
-seed, rng_version, array backend, a swapped plugin registration — must
-change the key).
+seed, rng_version, a swapped plugin registration — must change the key).
+A pinned digest gates the payload itself: changing what a fingerprint
+covers without bumping ``STORE_SCHEMA_VERSION`` fails here.
 """
 
 from __future__ import annotations
@@ -21,6 +22,11 @@ import pytest
 from repro.api import RunSpec, StragglerSpec, fingerprint
 from repro.api.registry import SCHEMES
 from repro.api.spec import STORE_SCHEMA_VERSION
+
+#: sha256 of the ``spec`` fixture below at store schema 2.  Update it only
+#: together with a ``STORE_SCHEMA_VERSION`` bump: stores written by older
+#: builds must never be served under a new payload.
+PINNED_DIGEST = "aa89412456edbb1c525d47f67961b540178caf61ff29eeae8bf3971acf3d801d"
 
 
 @pytest.fixture()
@@ -96,13 +102,20 @@ class TestStability:
         assert completed.stdout.strip() == spec.fingerprint()
 
 
+class TestPinned:
+    def test_store_schema_version(self):
+        assert STORE_SCHEMA_VERSION == 2
+
+    def test_reference_spec_digest(self, spec):
+        assert spec.fingerprint() == PINNED_DIGEST
+
+
 class TestSensitivity:
     @pytest.mark.parametrize(
         "changes",
         [
             {"seed": 8},
             {"rng_version": 1},
-            {"array_backend": "torch"},
             {"scheme": "cyclic"},
             {"num_iterations": 11},
             {"cluster": "Cluster-B"},

@@ -82,13 +82,6 @@ class TestParallelSweep:
             )
             assert results_json(sweep) == results_json(list(compare.values()))
 
-    def test_injected_backends_cannot_use_a_pool(self, base_spec):
-        fake = Engine(backends={"timing": lambda spec: None})
-        with pytest.raises(EngineError, match="registry-backed"):
-            fake.run_many(
-                [base_spec, base_spec], executor="process"
-            )
-
     def test_subprocess_worker_round_trips_spec(self, engine, base_spec):
         result = _run_spec_in_subprocess(base_spec.to_dict())
         assert results_json([result]) == results_json([engine.run(base_spec)])

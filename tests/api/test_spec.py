@@ -63,24 +63,6 @@ class TestValidation:
         del data["rng_version"]
         assert RunSpec.from_dict(data).rng_version == 1
 
-    def test_array_backend_defaults_to_numpy(self):
-        assert RunSpec().array_backend == "numpy"
-
-    def test_array_backend_rejects_empty(self):
-        with pytest.raises(SpecError, match="array_backend"):
-            RunSpec(array_backend="")
-
-    def test_array_backend_round_trips_through_json(self):
-        spec = RunSpec(array_backend="torch")
-        assert RunSpec.from_json(spec.to_json()) == spec
-        assert spec.to_dict()["array_backend"] == "torch"
-
-    def test_pre_array_backend_payloads_still_load(self):
-        # Spec JSON written before the field existed defaults to numpy.
-        data = RunSpec().to_dict()
-        del data["array_backend"]
-        assert RunSpec.from_dict(data).array_backend == "numpy"
-
     def test_straggler_mapping_requires_kind(self):
         with pytest.raises(SpecError, match="kind"):
             RunSpec(straggler={"params": {"delay_seconds": 1.0}})
@@ -158,9 +140,17 @@ class TestSerialization:
         restored = RunSpec.from_json(spec.to_json())
         assert restored == spec
 
-    def test_from_dict_rejects_unknown_fields(self):
-        with pytest.raises(SpecError, match="unknown RunSpec fields"):
-            RunSpec.from_dict({"scheme": "naive", "bogus_knob": 1})
+    @pytest.mark.parametrize(
+        "extra",
+        # The array-backend field was removed with its seam; payloads
+        # that still carry it are rejected, not silently upgraded.
+        [{"bogus_knob": 1}, {"array_backend": "numpy"}],
+        ids=lambda extra: next(iter(extra)),
+    )
+    def test_from_dict_rejects_unknown_fields(self, extra):
+        name = next(iter(extra))
+        with pytest.raises(SpecError, match=rf"unknown RunSpec fields: \['{name}'\]"):
+            RunSpec.from_dict({"scheme": "naive", **extra})
 
     def test_to_dict_is_plain_data(self):
         data = RunSpec(straggler="bursty").to_dict()

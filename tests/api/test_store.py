@@ -15,15 +15,13 @@ from pathlib import Path
 import pytest
 
 from repro import store as store_module
-from repro._registry import RUN_STORES
 from repro.api import Engine, RunSpec, StragglerSpec
+from repro.api.spec import STORE_SCHEMA_VERSION
 from repro.store import (
     STORE_DIR_ENV,
     FileRunStore,
-    RunStore,
     StoreError,
     default_store_path,
-    open_store,
 )
 
 
@@ -201,7 +199,10 @@ class TestFormatMarker:
     def test_marker_written_on_create(self, tmp_path):
         store = FileRunStore(tmp_path / "store")
         marker = json.loads((store.root / "store.json").read_text("utf-8"))
-        assert marker == {"format": "repro-run-store", "store_schema": 1}
+        assert marker == {
+            "format": "repro-run-store",
+            "store_schema": STORE_SCHEMA_VERSION,
+        }
 
     def test_reopen_is_fine(self, tmp_path, timing_result):
         first = FileRunStore(tmp_path / "store")
@@ -223,14 +224,21 @@ class TestFormatMarker:
         with pytest.raises(StoreError, match="unreadable store marker"):
             FileRunStore(root)
 
-    def test_schema_mismatch_raises(self, tmp_path):
+    @pytest.mark.parametrize("schema", (999, 1))
+    def test_schema_mismatch_raises(self, tmp_path, schema):
+        # Schema 1 is what builds before the array-backend removal wrote:
+        # its fingerprints can never hit, so opening it is a named error
+        # that says how to move on, not a store of silent misses.
         root = tmp_path / "store"
         root.mkdir()
         (root / "store.json").write_text(
-            '{"format": "repro-run-store", "store_schema": 999}', "utf-8"
+            json.dumps({"format": "repro-run-store", "store_schema": schema}),
+            "utf-8",
         )
-        with pytest.raises(StoreError, match="store schema mismatch"):
+        with pytest.raises(StoreError, match="store schema mismatch") as caught:
             FileRunStore(root)
+        assert STORE_DIR_ENV in str(caught.value)
+        assert "delete this root" in str(caught.value)
 
     def test_future_segment_schema_is_a_miss(self, store, timing_result):
         fingerprint = store.put_result(timing_result)
@@ -241,49 +249,25 @@ class TestFormatMarker:
         assert store.get(fingerprint) is None
 
 
-class TestOpenStore:
+class TestDefaultStore:
     def test_default_path_env_override(self, tmp_path, monkeypatch):
         monkeypatch.setenv(STORE_DIR_ENV, str(tmp_path / "env-store"))
         assert default_store_path() == Path(tmp_path / "env-store")
-        store = open_store()
-        assert isinstance(store, FileRunStore)
-        assert store.root == tmp_path / "env-store"
+        assert FileRunStore().root == tmp_path / "env-store"
 
     def test_default_path_without_env(self, monkeypatch):
         monkeypatch.delenv(STORE_DIR_ENV, raising=False)
         assert default_store_path() == Path.home() / ".cache" / "repro" / "run_store"
 
-    def test_open_store_with_explicit_path(self, tmp_path):
-        store = open_store(tmp_path / "explicit")
-        assert isinstance(store, FileRunStore)
-        assert store.root == tmp_path / "explicit"
-
-    def test_unknown_kind_raises(self, tmp_path):
-        with pytest.raises(Exception, match="no-such-store"):
-            open_store(tmp_path, kind="no-such-store")
-
-    def test_registered_instance_is_returned_as_is(self, tmp_path):
-        instance = FileRunStore(tmp_path / "shared")
-        RUN_STORES.add("shared-instance", instance)
-        try:
-            assert open_store(tmp_path / "ignored", kind="shared-instance") is instance
-        finally:
-            RUN_STORES.unregister("shared-instance")
-        assert repr(instance) == f"FileRunStore({str(tmp_path / 'shared')!r})"
-
-    def test_factory_building_a_non_store_raises(self, tmp_path):
-        RUN_STORES.add("not-a-store", lambda path: {"path": path})
-        try:
-            with pytest.raises(StoreError, match="not a RunStore"):
-                open_store(tmp_path, kind="not-a-store")
-        finally:
-            RUN_STORES.unregister("not-a-store")
+    def test_repr_names_the_root(self, tmp_path):
+        store = FileRunStore(tmp_path / "shared")
+        assert repr(store) == f"FileRunStore({str(tmp_path / 'shared')!r})"
 
     def test_store_names_importable_from_repro_api(self):
         import repro.api as api
 
-        assert api.RunStore is RunStore
         assert api.FileRunStore is FileRunStore
-        assert api.open_store is open_store
+        assert api.StoreError is StoreError
+        assert api.default_store_path is default_store_path
         with pytest.raises(AttributeError):
             api.NoSuchName

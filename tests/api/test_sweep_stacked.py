@@ -178,20 +178,6 @@ class TestPlannerFallbacks:
             engine, base, rng_version=[1, 2], seed=[0, 1, 2]
         )
 
-    def test_injected_backends_never_stack(self):
-        calls = []
-
-        def backend(spec):
-            calls.append(spec)
-            return Engine().run(spec).trace
-
-        fake = Engine(backends={"timing": backend})
-        results = fake.sweep(
-            RunSpec(num_iterations=4, total_samples=512, rng_version=2, seed=0),
-            seed=[0, 1, 2],
-        )
-        assert len(calls) == 3 and len(results) == 3
-
     def test_process_pool_composes_with_stacking(self, engine):
         # The pool takes the stacked groups as units and the remainder as
         # single runs.  Either way the results are bit-identical.

@@ -10,6 +10,7 @@ answered entirely from the store with JSON-identical results.
 
 from __future__ import annotations
 
+import functools
 import http.client
 import json
 import threading
@@ -110,7 +111,12 @@ class TestService:
 @pytest.fixture()
 def server(service):
     httpd = make_server(service=service)
-    thread = threading.Thread(target=httpd.serve_forever, daemon=True)
+    # A short poll interval: shutdown() waits for the serve loop's next
+    # poll, which at the 0.5 s default dominates every HTTP test.
+    thread = threading.Thread(
+        target=functools.partial(httpd.serve_forever, poll_interval=0.01),
+        daemon=True,
+    )
     thread.start()
     host, port = httpd.server_address[:2]
     try:
