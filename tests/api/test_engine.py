@@ -11,7 +11,14 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.api import Engine, EngineError, RunSpec, SpecError, StragglerSpec
+from repro.api import (
+    RUN_MODES,
+    Engine,
+    EngineError,
+    RunSpec,
+    SpecError,
+    StragglerSpec,
+)
 from repro.api import engine as engine_module
 from repro.experiments.clusters import build_cluster
 from repro.experiments.common import measure_timing_trace
@@ -47,6 +54,9 @@ class TestValidation:
     def test_rejects_non_spec(self):
         with pytest.raises(SpecError, match="expects a RunSpec"):
             Engine().run({"scheme": "naive"})
+
+    def test_mode_table_covers_exactly_the_run_modes(self):
+        assert tuple(engine_module._MODES) == RUN_MODES
 
     def test_ssp_is_a_protocol_not_a_scheme(self):
         with pytest.raises(EngineError, match="unknown scheme"):

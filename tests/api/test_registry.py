@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro import _registry
 from repro.api import Engine, Registry, RegistryError, RunSpec
 from repro.api.registry import CLUSTERS, PROTOCOLS, SCHEMES, WORKLOADS
 from repro.coding import SCHEME_NAMES, CodingError, build_strategy
@@ -65,6 +66,21 @@ class TestRegistryBasics:
 
 
 class TestBuiltinRegistrations:
+    def test_only_the_paper_axes_have_registries(self):
+        kinds = {
+            value.kind
+            for value in vars(_registry).values()
+            if isinstance(value, Registry)
+        }
+        assert kinds == {
+            "scheme",
+            "protocol",
+            "cluster",
+            "workload",
+            "straggler model",
+            "network model",
+        }
+
     def test_builtin_schemes_registered(self):
         assert set(SCHEME_NAMES) <= set(SCHEMES.names())
         assert registered_schemes() == SCHEMES.names()
