@@ -95,10 +95,26 @@ class _TrainingStackMember:
 
 
 def _build_cluster_for(spec: RunSpec) -> ClusterSpec:
-    """Build the spec's cluster; the cluster RNG defaults to the run seed."""
+    """Build the spec's cluster; the cluster RNG defaults to the run seed.
+
+    Construction is deterministic in (name, options, rng), so seeded builds
+    are memoised on the process-wide timing-kernel cache: runs that share
+    those inputs share one cluster object, and only the build count changes.
+    """
     options = dict(spec.cluster_options)
     options.setdefault("rng", spec.seed)
-    return build_cluster(spec.cluster, **options)
+    if not isinstance(options["rng"], int):
+        return build_cluster(spec.cluster, **options)  # fresh entropy
+    # The registered builder is part of the key, so re-registering a
+    # cluster name never serves the old builder's cluster.
+    key = (
+        spec.cluster,
+        CLUSTERS.get(spec.cluster) if spec.cluster in CLUSTERS else None,
+        tuple(sorted((name, repr(value)) for name, value in options.items())),
+    )
+    return default_timing_kernel_cache().memoised(
+        "cluster", key, lambda: build_cluster(spec.cluster, **options)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -201,7 +217,8 @@ class Engine:
 
     @staticmethod
     def clear_timing_kernel_cache() -> None:
-        """Drop every cached timing kernel (results never depend on this)."""
+        """Drop every cached timing kernel and the memoised strategy and
+        cluster builds (results never depend on this)."""
         default_timing_kernel_cache().clear()
 
     # -- validation ----------------------------------------------------
@@ -299,29 +316,10 @@ class Engine:
             and spec.seed is not None
         )
 
-    @staticmethod
-    def _sweep_cluster(
-        spec: RunSpec, cache: dict[tuple[Any, ...], ClusterSpec]
-    ) -> ClusterSpec:
-        """Per-sweep cluster cache; same spec inputs return the same object.
-
-        Cluster construction is deterministic in (name, options, rng), so
-        sharing instances changes nothing but the build count.
-        """
-        options = dict(spec.cluster_options)
-        options.setdefault("rng", spec.seed)
-        key = (spec.cluster, tuple(sorted((k, repr(v)) for k, v in options.items())))
-        cluster = cache.get(key)
-        if cluster is None:
-            cluster = build_cluster(spec.cluster, **options)
-            cache[key] = cluster
-        return cluster
-
     def _prepare_timing_member(
         self,
         index: int,
         spec: RunSpec,
-        cluster_cache: dict[tuple[Any, ...], ClusterSpec],
     ) -> _TimingStackMember | None:
         """Build the spec's ``measure_timing_trace`` set-up, or ``None``
         when the spec must take the fallback path (bad sample counts raise
@@ -329,7 +327,7 @@ class Engine:
         total_samples = spec.resolved_total_samples()
         if total_samples is None or total_samples <= 0:
             return None
-        cluster = self._sweep_cluster(spec, cluster_cache)
+        cluster = _build_cluster_for(spec)
         injector = build_injector(spec.straggler)
         network = build_network(spec.network)
         setup = _timing_setup(
@@ -370,7 +368,6 @@ class Engine:
         self,
         index: int,
         spec: RunSpec,
-        cluster_cache: dict[tuple[Any, ...], ClusterSpec],
     ) -> _TrainingStackMember | None:
         """Mirror ``_run_training``'s per-run derivations for SSP-family
         protocols; ``None`` routes other protocols to the fallback path."""
@@ -381,7 +378,7 @@ class Engine:
         )
         if not isinstance(protocol, SSPProtocol):
             return None
-        cluster = self._sweep_cluster(spec, cluster_cache)
+        cluster = _build_cluster_for(spec)
         preset = get_workload(spec.workload)
         dataset = _cached_dataset(spec.workload, spec.total_samples, spec.seed or 0)
         learning_rate = spec.learning_rate
@@ -488,7 +485,6 @@ class Engine:
         timing_groups: dict[tuple[Any, ...], list[_TimingStackMember]] = {}
         training_groups: dict[tuple[Any, ...], list[_TrainingStackMember]] = {}
         remainder: list[int] = []
-        cluster_cache: dict[tuple[Any, ...], ClusterSpec] = {}
         for index, spec in enumerate(specs):
             if not isinstance(spec, RunSpec):
                 raise SpecError(
@@ -496,9 +492,7 @@ class Engine:
                 )
             if self._timing_stackable(spec):
                 self.validate(spec)
-                timing_member = self._prepare_timing_member(
-                    index, spec, cluster_cache
-                )
+                timing_member = self._prepare_timing_member(index, spec)
                 if timing_member is not None:
                     timing_groups.setdefault(
                         timing_member.group_key, []
@@ -506,9 +500,7 @@ class Engine:
                     continue
             elif self._training_stackable(spec):
                 self.validate(spec)
-                training_member = self._prepare_training_member(
-                    index, spec, cluster_cache
-                )
+                training_member = self._prepare_training_member(index, spec)
                 if training_member is not None:
                     training_groups.setdefault(
                         training_member.group_key, []

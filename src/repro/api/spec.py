@@ -23,7 +23,9 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import inspect
 import json
+import weakref
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from typing import Any
@@ -60,29 +62,75 @@ DEFAULT_TIMING_SAMPLES = 2048
 #: layout or the fingerprint coverage changes incompatibly) invalidates
 #: every existing cache entry at once instead of serving stale payloads.
 #: Version 2 dropped the array-backend field and the execution-backend
-#: identity from the fingerprint payload.
-STORE_SCHEMA_VERSION = 2
+#: identity from the fingerprint payload.  Version 3 gives lambda and
+#: ``<locals>`` builders identities that include their source, defaults and
+#: closure contents.
+STORE_SCHEMA_VERSION = 3
+
+#: Identities of lambda and ``<locals>`` builders, computed once per object.
+_CODE_IDENTITIES: weakref.WeakKeyDictionary[Any, str] = weakref.WeakKeyDictionary()
 
 
 def _plugin_identity(registry: Registry[Any], name: str | None) -> str | None:
-    """The code identity behind a registered name (``module:qualname``).
+    """The code identity behind a registered name.
 
-    Two registrations are "the same plugin" iff the same callable/class
-    services the name — swapping a builder (``replace=True``) changes the
-    identity and therefore every fingerprint that references it.  Unknown
-    names map to ``None``: the fingerprint stays computable (the engine
-    rejects such specs at execution time anyway) and still differs from
-    any registered identity.
+    Two registrations are "the same plugin" iff the same code services the
+    name — swapping a builder (``replace=True``) changes the identity and
+    therefore every fingerprint that references it.  Unknown names map to
+    ``None``: the fingerprint stays computable (the engine rejects such
+    specs at execution time anyway) and still differs from any registered
+    identity.
     """
     if name is None or name not in registry:
         return None
-    obj = registry.get(name)
+    return _code_identity(registry.get(name))
+
+
+def _code_identity(obj: Any) -> str:
+    """``module:qualname``, plus a content digest for anonymous functions.
+
+    Every lambda registered from one place shares its ``module:qualname``
+    (all four Table II clusters come from one lambda), so lambda and
+    ``<locals>`` functions also hash their source, defaults and closure
+    contents — all stable across processes, unlike their bytecode, which
+    changes between Python versions.
+    """
     module = getattr(obj, "__module__", None)
     qualname = getattr(obj, "__qualname__", None)
     if module is None or qualname is None:  # registered instances (workloads)
-        module = type(obj).__module__
-        qualname = type(obj).__qualname__
-    return f"{module}:{qualname}"
+        return f"{type(obj).__module__}:{type(obj).__qualname__}"
+    identity = f"{module}:{qualname}"
+    if not inspect.isfunction(obj) or (
+        "<lambda>" not in qualname and "<locals>" not in qualname
+    ):
+        return identity
+    cached = _CODE_IDENTITIES.get(obj)
+    if cached is None:
+        try:
+            source = inspect.getsource(obj)
+        except (OSError, TypeError):  # defined where no source file exists
+            source = repr(obj.__code__.co_code)
+        parts = [source]
+        parts.extend(_value_identity(value) for value in obj.__defaults__ or ())
+        parts.extend(
+            f"{key}={_value_identity(value)}"
+            for key, value in sorted((obj.__kwdefaults__ or {}).items())
+        )
+        for cell in obj.__closure__ or ():
+            try:
+                parts.append(_value_identity(cell.cell_contents))
+            except ValueError:  # a cell not yet bound
+                parts.append("<empty cell>")
+        digest = hashlib.sha256("\0".join(parts).encode("utf-8")).hexdigest()
+        cached = _CODE_IDENTITIES[obj] = f"{identity}#{digest[:16]}"
+    return cached
+
+
+def _value_identity(value: Any) -> str:
+    """A process-independent token for a default or closure value."""
+    if inspect.isfunction(value) or inspect.isclass(value):
+        return _code_identity(value)
+    return repr(value)
 
 
 class SpecError(ValueError):
@@ -316,8 +364,9 @@ class RunSpec:
 
         A sha256 hex digest over the canonical JSON form (sorted keys,
         no whitespace) of the full field set — including ``seed`` and
-        ``rng_version`` — plus the *identities*
-        (``module:qualname``) of every registry plugin the spec names and
+        ``rng_version`` — plus the *identities* (``module:qualname``, with
+        a content digest for lambda and ``<locals>`` builders) of every
+        registry plugin the spec names and
         :data:`STORE_SCHEMA_VERSION`.  Two specs share a fingerprint iff
         the engine is contractually bound to produce bit-identical results
         for them, which is what makes the fingerprint a safe cache key for

@@ -231,7 +231,10 @@ def build_parser() -> argparse.ArgumentParser:
     golden.add_argument("--include-plugins", action="store_true",
                         help="also snapshot every registry-registered "
                              "third-party scheme/protocol (and record their "
-                             "names), so plugin outputs are golden-gated too")
+                             "names), so plugin outputs are golden-gated too; "
+                             "--check decides this from the golden file (it "
+                             "snapshots plugins iff the file has a plugins "
+                             "section), so the flag changes nothing there")
 
     lint = subparsers.add_parser(
         "lint",
@@ -413,9 +416,7 @@ def _command_golden(args: argparse.Namespace):
     )
 
     if args.check:
-        text, diffs = check_golden_report(
-            args.check, rtol=args.rtol, include_plugins=args.include_plugins
-        )
+        text, diffs = check_golden_report(args.check, rtol=args.rtol)
         if args.diff_output:
             with open(args.diff_output, "w", encoding="utf-8") as handle:
                 handle.write(text + "\n")

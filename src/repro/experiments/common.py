@@ -30,6 +30,7 @@ from typing import Any
 
 import numpy as np
 
+from .._registry import SCHEMES
 from ..coding.registry import build_strategy, natural_partitions
 from ..coding.types import CodingStrategy
 from ..simulation.cluster import ClusterSpec
@@ -136,13 +137,31 @@ def _timing_setup(
     )
     samples_per_partition = max(1, total_samples // k)
     effective_total_samples = samples_per_partition * k
-    strategy = build_strategy(
-        scheme,
-        throughputs=cluster.estimated_throughputs,
-        num_partitions=k,
-        num_stragglers=num_stragglers,
-        rng=np.random.default_rng(seed),
-    )
+    throughputs = cluster.estimated_throughputs
+
+    def build() -> CodingStrategy:
+        return build_strategy(
+            scheme,
+            throughputs=throughputs,
+            num_partitions=k,
+            num_stragglers=num_stragglers,
+            rng=np.random.default_rng(seed),
+        )
+
+    if not isinstance(seed, (int, np.integer)):
+        strategy = build()  # fresh entropy is never memoised
+    else:
+        # The registered builder is part of the key, so re-registering a
+        # scheme name never serves the old builder's strategy.
+        key = (
+            scheme,
+            SCHEMES.get(scheme) if scheme in SCHEMES else None,
+            throughputs.tobytes(),
+            k,
+            num_stragglers,
+            int(seed),
+        )
+        strategy = default_timing_kernel_cache().memoised("strategy", key, build)
     metadata: dict[str, Any] = {
         "mode": "timing_only",
         "num_workers": cluster.num_workers,

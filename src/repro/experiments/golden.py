@@ -312,12 +312,17 @@ def _roundtrip_through_json(payload: dict) -> dict:
 
 
 def check_golden_report(
-    golden_path: str, rtol: float = 1e-9, include_plugins: bool = False
+    golden_path: str, rtol: float = 1e-9
 ) -> tuple[str, list[str]]:
-    """Regenerate the report and diff it against ``golden_path``."""
+    """Regenerate the report and diff it against ``golden_path``.
+
+    The report is regenerated with plugin snapshots exactly when the
+    golden file has a ``"plugins"`` section, so a golden checks clean
+    against the form it was written in.
+    """
     with open(golden_path, encoding="utf-8") as handle:
         golden = json.load(handle)
     current = _roundtrip_through_json(
-        generate_golden_report(include_plugins=include_plugins)
+        generate_golden_report(include_plugins="plugins" in golden)
     )
     return compare_golden_reports(golden, current, rtol=rtol)

@@ -294,8 +294,11 @@ class CodedBSPProtocol(TrainingProtocol):
         inverse_total = 1.0 / total_samples
         parameters = model.parameters()
         # Decoding depends only on the used-worker set, which repeats across
-        # iterations; fuse decode-weights @ used-coding-rows once per set.
-        combined_rows: dict[tuple[int, ...], np.ndarray] = {}
+        # iterations; fuse decode-weights @ used-coding-rows once per set,
+        # keyed by the set's bytes in the kernel's ragged column.
+        combined_rows: dict[bytes, np.ndarray] = {}
+        used_offsets = arrays.workers_used.offsets.tolist()
+        used_values = arrays.workers_used.values
         last_loss = float("nan")
         stop = num_iterations
         for step in range(num_iterations):
@@ -309,14 +312,15 @@ class CodedBSPProtocol(TrainingProtocol):
                 stop = step + 1
                 break
 
-            workers = arrays.workers_used[step]
-            combo = combined_rows.get(workers)
+            workers = used_values[used_offsets[step] : used_offsets[step + 1]]
+            key = workers.tobytes()
+            combo = combined_rows.get(key)
             if combo is None:
-                result = decoder.decoding_vector(workers)
+                result = decoder.decoding_vector(tuple(workers.tolist()))
                 assert result is not None  # finite duration implies decodable
-                used = np.asarray(workers, dtype=np.intp)
+                used = workers.astype(np.intp)
                 combo = result.coefficients[used] @ matrix[used]
-                combined_rows[workers] = combo
+                combined_rows[key] = combo
             partition_losses, gradients = model.batch_loss_and_gradient(
                 stacked_features, stacked_labels
             )
@@ -329,12 +333,13 @@ class CodedBSPProtocol(TrainingProtocol):
             model.set_parameters(parameters)
 
         if stop != num_iterations:
+            kept = np.arange(stop)
             arrays = TimingTraceArrays(
                 durations=arrays.durations[:stop],
                 compute_times=arrays.compute_times[:stop],
                 completion_times=arrays.completion_times[:stop],
-                workers_used=arrays.workers_used[:stop],
-                used_groups=arrays.used_groups[:stop],
+                workers_used=arrays.workers_used.take(kept),
+                used_groups=arrays.used_groups.take(kept),
             )
         return RunTrace.from_arrays(
             scheme=self.name,

@@ -68,7 +68,7 @@ import numpy as np
 from ..learning.models.base import Model, generic_kernels_forced
 from ..learning.partition import PartitionedDataset
 from ..simulation.cluster import ClusterSpec
-from ..simulation.trace import IterationRecord, RunTrace
+from ..simulation.trace import IterationRecord, RaggedColumn, RunTrace
 from ..simulation.vectorized import TimingTraceArrays
 from .base import ProtocolError, TrainingConfig, TrainingProtocol, evaluate_mean_loss
 
@@ -1014,18 +1014,22 @@ class SSPProtocol(TrainingProtocol):
 
         durations = round_durations
         losses = round_losses
-        workers_used: list[tuple[int, ...]] = [tuple(range(num_workers))] * num_rounds
+        # Code 0 is a round that used every worker, code 1 the stall; no
+        # round decodes through a group.
+        codes = np.zeros(num_rounds, dtype=np.intp)
         if schedule.stalled:
             # Every runnable worker is blocked (or failed): the run stalls.
             durations = np.append(durations, np.inf)
             losses = np.append(losses, last_loss)
-            workers_used = workers_used + [()]
+            codes = np.append(codes, 1)
+        workers = RaggedColumn.from_distinct_rows([tuple(range(num_workers)), ()])
+        groups = RaggedColumn.from_distinct_rows([None, None], nullable=True)
         arrays = TimingTraceArrays(
             durations=durations,
             compute_times=np.zeros((durations.shape[0], num_workers)),
             completion_times=np.zeros((durations.shape[0], num_workers)),
-            workers_used=tuple(workers_used),
-            used_groups=(None,) * durations.shape[0],
+            workers_used=workers.take(codes),
+            used_groups=groups.take(codes),
         )
         return RunTrace.from_arrays(
             scheme=self.name,

@@ -21,6 +21,7 @@ unchanged and byte-identical to the record-based layout.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import warnings
 from dataclasses import dataclass
 
@@ -221,14 +222,12 @@ class RaggedColumn:
         """Build a ragged column from per-iteration tuples (``None`` allowed
         when ``nullable``).
 
-        Rows repeat heavily (the kernels emit one shared tuple per distinct
-        decode decision), so construction interns each distinct row once and
-        assembles the flat arrays with one vectorized table gather — the
-        per-row Python cost is a single dict lookup.
+        Rows repeat heavily, so construction interns each distinct row once
+        and assembles the flat arrays with one :meth:`take` over the table
+        of distinct rows — the per-row Python cost is a single dict lookup.
         """
         rows = rows if isinstance(rows, (list, tuple)) else list(rows)
-        n = len(rows)
-        codes = np.empty(n, dtype=np.intp)
+        codes = np.empty(len(rows), dtype=np.intp)
         code_of: dict[tuple[int, ...] | None, int] = {}
         distinct: list[tuple[int, ...] | None] = []
         for index, row in enumerate(rows):
@@ -238,27 +237,52 @@ class RaggedColumn:
                 code_of[row] = code
                 distinct.append(row)
             codes[index] = code
-        table_lengths = np.fromiter(
-            (0 if row is None else len(row) for row in distinct),
-            dtype=np.int64,
-            count=len(distinct),
-        )
-        width = int(table_lengths.max()) if distinct else 0
-        table = np.zeros((len(distinct), width), dtype=np.int64)
-        for code, row in enumerate(distinct):
-            if row:
-                table[code, : len(row)] = row
-        lengths = table_lengths[codes] if n else table_lengths[:0]
+        return cls.from_distinct_rows(distinct, nullable=nullable).take(codes)
+
+    @classmethod
+    def from_distinct_rows(cls, rows, nullable: bool = False) -> "RaggedColumn":
+        """Pack ``rows`` one for one, without interning.
+
+        Meant for small tables of distinct rows (``None`` allowed when
+        ``nullable``) that :meth:`take` then gathers into a full column.
+        """
+        rows = rows if isinstance(rows, (list, tuple)) else list(rows)
+        n = len(rows)
         offsets = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(lengths, out=offsets[1:])
-        values = table[codes][np.arange(width) < lengths[:, np.newaxis]]
+        np.cumsum(
+            np.fromiter(
+                (0 if row is None else len(row) for row in rows),
+                dtype=np.int64,
+                count=n,
+            ),
+            out=offsets[1:],
+        )
+        values = np.fromiter(
+            itertools.chain.from_iterable(row for row in rows if row),
+            dtype=np.int64,
+            count=int(offsets[-1]),
+        )
         present = None
         if nullable:
-            none_code = code_of.get(None, -1)
-            present = (
-                codes != none_code if none_code >= 0 else np.ones(n, dtype=bool)
+            present = np.fromiter(
+                (row is not None for row in rows), dtype=bool, count=n
             )
         return cls(offsets, values, present)
+
+    def take(self, indices: np.ndarray) -> "RaggedColumn":
+        """The column whose row ``i`` is row ``indices[i]`` of this one.
+
+        One gather over the flat arrays: no row is visited in Python.
+        """
+        indices = np.asarray(indices, dtype=np.intp)
+        starts = self.offsets[:-1][indices]
+        lengths = self.offsets[1:][indices] - starts
+        offsets = np.zeros(indices.shape[0] + 1, dtype=np.int64)
+        np.cumsum(lengths, out=offsets[1:])
+        positions = np.arange(offsets[-1], dtype=np.int64)
+        positions += np.repeat(starts - offsets[:-1], lengths)
+        present = None if self.present is None else self.present[indices]
+        return RaggedColumn(offsets, self.values[positions], present)
 
     @classmethod
     def concatenate(cls, columns: "list[RaggedColumn]") -> "RaggedColumn":
@@ -774,7 +798,8 @@ class RunTrace:
             any object exposing ``durations``, ``compute_times``,
             ``completion_times``, ``workers_used`` and ``used_groups`` with
             the same shapes).  The trace takes ownership of the arrays and
-            marks them read-only.
+            marks them read-only; :class:`RaggedColumn` worker columns are
+            adopted as they are.
         train_losses:
             Optional per-iteration training-loss column, shape ``(n,)``;
             defaults to all-``nan`` (timing-only runs).

@@ -12,7 +12,9 @@ batched calls.  The decodable-prefix decision depends only on the completion
 trace (or stack) with one argsort and decides all orders the memo has not
 seen in one :meth:`~repro.coding.decoding.Decoder
 .earliest_decodable_prefix_batched` call, which steps them together one
-worker position at a time.
+worker position at a time.  Each iteration then carries one code into the
+kernel's table of distinct decisions, and the ``workers_used`` and
+``used_groups`` trace columns are one gather over that table per run.
 
 Two RNG stream layouts are supported:
 
@@ -33,7 +35,9 @@ Two RNG stream layouts are supported:
 :class:`TimingKernelCache` keys kernels on (strategy fingerprint, cluster
 fingerprint, workload, network) so sweep-style experiments that vary only
 the straggler injector (e.g. Fig. 2's delay axis) share one kernel — and
-with it the memoised decode-order decisions — across sweep points.
+with it the memoised decode-order decisions — across sweep points.  It
+also memoises the seeded strategy and cluster builds a timing run starts
+with.
 """
 
 from __future__ import annotations
@@ -41,8 +45,9 @@ from __future__ import annotations
 import hashlib
 import threading
 from collections import OrderedDict
-from collections.abc import Sequence
+from collections.abc import Callable, Hashable, Sequence
 from dataclasses import dataclass
+from typing import Any, TypeVar
 
 import numpy as np
 
@@ -52,6 +57,7 @@ from .cluster import ClusterSpec
 from .network import CommunicationModel, ZeroCommunication
 from .stragglers import NoStragglers, StragglerInjector
 from .timing import TimingError, worker_workloads
+from .trace import RaggedColumn
 
 __all__ = [
     "StackedRun",
@@ -63,6 +69,8 @@ __all__ = [
     "strategy_fingerprint",
     "cluster_fingerprint",
 ]
+
+_T = TypeVar("_T")
 
 
 @dataclass(frozen=True)
@@ -78,16 +86,24 @@ class TimingTraceArrays:
     completion_times:
         Per-worker completion times, shape ``(n, m)``.
     workers_used:
-        Per-iteration tuple of workers whose results the master combined.
+        Per-iteration workers whose results the master combined, as a
+        :class:`~repro.simulation.trace.RaggedColumn` (an empty row where
+        the iteration was undecodable).
     used_groups:
-        Per-iteration group used by the fast path (``None`` otherwise).
+        Per-iteration group used by the decode fast path, as a nullable
+        :class:`~repro.simulation.trace.RaggedColumn` (absent rows where
+        the general decode ran or the iteration was undecodable).
+
+    The kernels gather both columns from their table of distinct decode
+    decisions, so no per-iteration Python object is created;
+    :meth:`RaggedColumn.tuples` gives the tuple view on demand.
     """
 
     durations: np.ndarray
     compute_times: np.ndarray
     completion_times: np.ndarray
-    workers_used: tuple[tuple[int, ...], ...]
-    used_groups: tuple[tuple[int, ...] | None, ...]
+    workers_used: RaggedColumn
+    used_groups: RaggedColumn
 
     @property
     def num_iterations(self) -> int:
@@ -147,7 +163,8 @@ def simulate_worker_timing_arrays_stacked(
     and, for stochastic networks, all of its transfer times in one
     :meth:`~repro.simulation.network.CommunicationModel
     .sample_transfer_times` call.  Runs are independent, so their draws
-    never merge: slice ``r`` depends on ``runs[r]`` alone.
+    never merge: slice ``r`` depends on ``runs[r]`` alone.  A 1-run stack
+    returns its run's blocks as ``(1, n, m)`` views, without a copy.
     """
     if num_iterations <= 0:
         raise TimingError("num_iterations must be positive")
@@ -163,16 +180,9 @@ def simulate_worker_timing_arrays_stacked(
         raise TimingError("workloads must be non-negative")
     network = network or ZeroCommunication()
     default_injector = injector or NoStragglers()
-    shape = (len(runs), num_iterations, num_workers)
     loaded = workloads > 0
-    compute = np.empty(shape)
-    delays = np.empty(shape)
-    comm = (
-        np.empty(shape)
-        if network.is_stochastic
-        else np.where(loaded, network.transfer_time(gradient_bytes), 0.0)
-    )
-    for index, run in enumerate(runs):
+
+    def draw(index: int, run: StackedRun) -> tuple[np.ndarray, ...]:
         run_cluster = run.cluster or cluster
         if run_cluster.num_workers != num_workers:
             raise TimingError(
@@ -180,34 +190,47 @@ def simulate_worker_timing_arrays_stacked(
                 f"{run_cluster.num_workers} workers; the stack is shaped for "
                 f"{num_workers}"
             )
-        block = np.asarray(
+        delays = np.asarray(
             (run.injector or default_injector).delays_batch(
                 start_iteration, num_iterations, num_workers, run.injector_rng
             ),
             dtype=np.float64,
         )
-        if block.shape != (num_iterations, num_workers):
+        if delays.shape != (num_iterations, num_workers):
             raise TimingError(
                 "straggler injector returned the wrong batch shape: "
-                f"{block.shape} instead of {(num_iterations, num_workers)}"
+                f"{delays.shape} instead of {(num_iterations, num_workers)}"
             )
-        delays[index] = block
-        compute[index] = run_cluster.compute_times_batch(
+        compute = run_cluster.compute_times_batch(
             workloads, num_iterations, run.jitter_rng
         )
-        if network.is_stochastic:
-            if run.network_rng is None:
-                # default_rng(None) would draw OS entropy: this run's slice
-                # could never be reproduced while its other draws are seeded.
-                raise TimingError(
-                    f"stacked run {index} has no network_rng, but "
-                    f"{type(network).__name__} samples per-message transfer "
-                    "times; pass the run's network stream"
-                )
-            sampled = network.sample_transfer_times(
-                gradient_bytes, (num_iterations, num_workers), run.network_rng
+        if not network.is_stochastic:
+            return compute, delays
+        if run.network_rng is None:
+            # default_rng(None) would draw OS entropy: this run's slice
+            # could never be reproduced while its other draws are seeded.
+            raise TimingError(
+                f"stacked run {index} has no network_rng, but "
+                f"{type(network).__name__} samples per-message transfer "
+                "times; pass the run's network stream"
             )
-            comm[index] = np.where(loaded, sampled, 0.0)
+        sampled = network.sample_transfer_times(
+            gradient_bytes, (num_iterations, num_workers), run.network_rng
+        )
+        return compute, delays, np.where(loaded, sampled, 0.0)
+
+    if len(runs) == 1:
+        blocks = draw(0, runs[0])
+        stacked = [block[np.newaxis] for block in blocks]
+    else:
+        shape = (len(runs), num_iterations, num_workers)
+        stacked = [np.empty(shape) for _ in range(3 if network.is_stochastic else 2)]
+        for index, run in enumerate(runs):
+            for out, block in zip(stacked, draw(index, run), strict=True):
+                out[index] = block
+    if not network.is_stochastic:
+        stacked.append(np.where(loaded, network.transfer_time(gradient_bytes), 0.0))
+    compute, delays, comm = stacked
     return compute, delays, comm
 
 
@@ -269,13 +292,25 @@ class TimingTraceKernel:
             workloads > 0, self.network.transfer_time(gradient_bytes), 0.0
         )
         # The decodable prefix depends only on the completion *order*; cache
-        # the (prefix, decode result) pair per observed order so repeated
+        # the (prefix, decision code) pair per observed order so repeated
         # orderings across iterations cost one dict lookup.  Kernels can now
         # outlive single runs (TimingKernelCache), so insertion stops at a
         # bound — existing entries keep serving hits, new orders just pay
         # the decode each time once the cache is full.
         self.order_cache_limit = 100_000
-        self._order_cache: dict[bytes, tuple[int | None, DecodeResult | None]] = {}
+        self._order_cache: dict[bytes, tuple[int, int]] = {}
+        # Every distinct decode decision (workers used, group used) gets one
+        # code; the tables hold row ``code`` of each trace column, so a
+        # trace's columns are one gather of its per-iteration codes.  Code 0
+        # is the undecodable decision.  Many orders share a decision, so the
+        # tables stay far smaller than the order memo.
+        self._decision_codes: dict[tuple, int] = {((), None): 0}
+        self._new_decisions: list[tuple] = []
+        self._workers_table = RaggedColumn.from_distinct_rows([()])
+        self._groups_table = RaggedColumn.from_distinct_rows([None], nullable=True)
+        # Serve's request threads share cached kernels; the memo and the
+        # code tables must change together.
+        self._lock = threading.Lock()
 
     # ------------------------------------------------------------------
     def _jittered_compute(self, rng: np.random.Generator) -> np.ndarray:
@@ -296,19 +331,16 @@ class TimingTraceKernel:
     # ------------------------------------------------------------------
     def _decide(
         self, completion: np.ndarray
-    ) -> tuple[
-        np.ndarray,
-        tuple[tuple[int, ...], ...],
-        tuple[tuple[int, ...] | None, ...],
-    ]:
+    ) -> tuple[np.ndarray, np.ndarray, RaggedColumn, RaggedColumn]:
         """Decode decision for every row of ``(n, m)`` completion times.
 
-        Returns the durations (``inf`` where undecodable) and each row's
-        workers used and group used.  A decision depends only on the row's
-        completion order: the stable argsort cut at the finite count, since
-        non-finite times sort last.  Each distinct order is decided once,
-        from ``self._order_cache`` when it was seen before, else by one
-        :meth:`~repro.coding.decoding.Decoder
+        Returns the durations (``inf`` where undecodable), each row's
+        decision code, and the workers-used and group-used tables those
+        codes index (``table.take(codes)`` is the trace column).  A decision
+        depends only on the row's completion order: the stable argsort cut
+        at the finite count, since non-finite times sort last.  Each
+        distinct order is decided once, from ``self._order_cache`` when it
+        was seen before, else by one :meth:`~repro.coding.decoding.Decoder
         .earliest_decodable_prefix_batched` call over all the misses.
         """
         num_rows, m = completion.shape
@@ -331,42 +363,70 @@ class TimingTraceKernel:
             inverse = np.asarray(inverse).ravel()
         else:
             distinct = inverse = np.arange(num_rows)
-        order_cache = self._order_cache
         counts_list = counts.tolist()
-        decisions: list[tuple[int | None, DecodeResult | None]] = []
-        misses: dict[bytes, list[int]] = {}  # key -> positions in decisions
-        miss_rows: list[int] = []
-        for position, row in enumerate(distinct.tolist()):
-            key = orders[row, : counts_list[row]].tobytes()
-            hit = order_cache.get(key)
-            decisions.append((None, None) if hit is None else hit)
-            if hit is None:
-                waiting = misses.setdefault(key, [])
-                if not waiting:
-                    miss_rows.append(row)
-                waiting.append(position)
-        if miss_rows:
-            decided = self.decoder.earliest_decodable_prefix_batched(
-                orders[miss_rows], counts[miss_rows]
-            )
-            for (key, positions), hit in zip(misses.items(), decided, strict=True):
-                if len(order_cache) < self.order_cache_limit:
-                    order_cache[key] = hit
-                for position in positions:
-                    decisions[position] = hit
-        results = [decisions[position][1] for position in inverse.tolist()]
-        prefixes = np.array([prefix or 0 for prefix, _ in decisions], dtype=np.intp)
+        with self._lock:
+            order_cache = self._order_cache
+            decisions: list[tuple[int, int]] = []
+            misses: dict[bytes, list[int]] = {}  # key -> positions in decisions
+            miss_rows: list[int] = []
+            for position, row in enumerate(distinct.tolist()):
+                key = orders[row, : counts_list[row]].tobytes()
+                hit = order_cache.get(key)
+                decisions.append((0, 0) if hit is None else hit)
+                if hit is None:
+                    waiting = misses.setdefault(key, [])
+                    if not waiting:
+                        miss_rows.append(row)
+                    waiting.append(position)
+            if miss_rows:
+                decided = self.decoder.earliest_decodable_prefix_batched(
+                    orders[miss_rows], counts[miss_rows]
+                )
+                for (key, positions), (prefix, result) in zip(
+                    misses.items(), decided, strict=True
+                ):
+                    decision = (prefix or 0, self._decision_code(result))
+                    if len(order_cache) < self.order_cache_limit:
+                        order_cache[key] = decision
+                    for position in positions:
+                        decisions[position] = decision
+            workers_table, groups_table = self._decision_tables()
+        prefixes, codes = np.array(decisions, dtype=np.intp).reshape(-1, 2).T
         prefixes = prefixes[inverse]
         durations = np.full(num_rows, np.inf)
         decodable = np.flatnonzero(prefixes)
         durations[decodable] = completion[
             decodable, orders[decodable, prefixes[decodable] - 1]
         ]
-        return (
-            durations,
-            tuple(() if result is None else result.workers_used for result in results),
-            tuple(None if result is None else result.used_group for result in results),
+        return durations, codes[inverse], workers_table, groups_table
+
+    def _decision_code(self, result: DecodeResult | None) -> int:
+        """The code of ``result``'s decision, assigned on first sight."""
+        decision = (
+            ((), None) if result is None else (result.workers_used, result.used_group)
         )
+        code = self._decision_codes.get(decision)
+        if code is None:
+            code = len(self._decision_codes)
+            self._decision_codes[decision] = code
+            self._new_decisions.append(decision)
+        return code
+
+    def _decision_tables(self) -> tuple[RaggedColumn, RaggedColumn]:
+        """The workers-used and group-used tables, one row per code."""
+        if self._new_decisions:
+            workers, groups = zip(*self._new_decisions)
+            self._new_decisions = []
+            self._workers_table = RaggedColumn.concatenate(
+                [self._workers_table, RaggedColumn.from_distinct_rows(workers)]
+            )
+            self._groups_table = RaggedColumn.concatenate(
+                [
+                    self._groups_table,
+                    RaggedColumn.from_distinct_rows(groups, nullable=True),
+                ]
+            )
+        return self._workers_table, self._groups_table
 
     # ------------------------------------------------------------------
     def run(
@@ -419,13 +479,15 @@ class TimingTraceKernel:
             completion += comm
         # Decode decisions never feed the generator, so the whole trace is
         # decided after the draws, in one batched call.
-        durations, workers_used, used_groups = self._decide(completion_times)
+        durations, codes, workers_table, groups_table = self._decide(
+            completion_times
+        )
         return TimingTraceArrays(
             durations=durations,
             compute_times=compute_times,
             completion_times=completion_times,
-            workers_used=workers_used,
-            used_groups=used_groups,
+            workers_used=workers_table.take(codes),
+            used_groups=groups_table.take(codes),
         )
 
     # ------------------------------------------------------------------
@@ -461,24 +523,21 @@ class TimingTraceKernel:
         num_runs = len(runs)
         completion = compute + delays
         completion += comm
-        durations, workers_used, used_groups = self._decide(
+        durations, codes, workers_table, groups_table = self._decide(
             completion.reshape(num_runs * num_iterations, self.num_workers)
         )
         durations = durations.reshape(num_runs, num_iterations)
-        out: list[TimingTraceArrays] = []
-        for index in range(num_runs):
-            lo = index * num_iterations
-            hi = lo + num_iterations
-            out.append(
-                TimingTraceArrays(
-                    durations=durations[index],
-                    compute_times=compute[index],
-                    completion_times=completion[index],
-                    workers_used=workers_used[lo:hi],
-                    used_groups=used_groups[lo:hi],
-                )
+        codes = codes.reshape(num_runs, num_iterations)
+        return [
+            TimingTraceArrays(
+                durations=durations[index],
+                compute_times=compute[index],
+                completion_times=completion[index],
+                workers_used=workers_table.take(codes[index]),
+                used_groups=groups_table.take(codes[index]),
             )
-        return out
+            for index in range(num_runs)
+        ]
 
 
 # ---------------------------------------------------------------------------
@@ -511,6 +570,14 @@ def cluster_fingerprint(cluster: ClusterSpec) -> bytes:
     return digest.digest()
 
 
+#: Each build memo of a :class:`TimingKernelCache` holds up to this many
+#: entries per kernel slot.  Strategies and clusters are small next to a
+#: kernel and its decode-order memo, and a resumable sweep builds every
+#: member twice (once to plan, once to run), so the memo must hold a whole
+#: sweep's worth: 1,024 entries at the default ``maxsize``.
+_BUILDS_PER_KERNEL = 16
+
+
 class TimingKernelCache:
     """Bounded LRU cache of :class:`TimingTraceKernel` objects.
 
@@ -524,6 +591,15 @@ class TimingKernelCache:
     Cached kernels are pure with respect to results: the decode decisions
     they memoise are deterministic functions of the completion order, so a
     cache hit is bit-identical to a freshly built kernel.
+
+    The cache also memoises the builds a timing run starts with, through
+    :meth:`memoised`: coding strategies (keyed by scheme, estimated
+    throughputs, k, s and construction seed) and clusters (keyed by name
+    and options, the seed included).  Those builds are deterministic in
+    their keys, so a memo hit changes the build count, never a result;
+    builds seeded from fresh entropy are never memoised.  Each kind has its
+    own LRU bound of ``maxsize * 16`` entries.  :meth:`clear` empties the
+    kernels and every memo.
     """
 
     def __init__(self, maxsize: int = 64) -> None:
@@ -533,10 +609,10 @@ class TimingKernelCache:
         self.hits = 0
         self.misses = 0
         self._kernels: OrderedDict[tuple, TimingTraceKernel] = OrderedDict()
+        self._memos: dict[str, OrderedDict[Hashable, Any]] = {}
         # The process-wide default cache is shared by ``repro serve``'s
-        # request threads; one lock keeps the LRU bookkeeping coherent there.  Cached
-        # kernels themselves are safe to *use* concurrently only insofar as
-        # their memoised decode decisions are append-only dict writes.
+        # request threads; one lock keeps the LRU bookkeeping coherent there.
+        # Each kernel guards its own decode memo and decision tables.
         self._lock = threading.Lock()
 
     def __len__(self) -> int:
@@ -545,8 +621,29 @@ class TimingKernelCache:
     def clear(self) -> None:
         with self._lock:
             self._kernels.clear()
+            self._memos.clear()
             self.hits = 0
             self.misses = 0
+
+    def memoised(self, kind: str, key: Hashable, build: Callable[[], _T]) -> _T:
+        """``build()``, memoised under ``key`` in the ``kind`` memo.
+
+        ``build`` must be deterministic in ``key``.  It runs outside the
+        lock; two threads may race to build the same entry, and either
+        result may serve later lookups.
+        """
+        with self._lock:
+            memo = self._memos.setdefault(kind, OrderedDict())
+            if key in memo:
+                memo.move_to_end(key)
+                return memo[key]
+        value = build()
+        with self._lock:
+            memo = self._memos.setdefault(kind, OrderedDict())
+            memo[key] = value
+            while len(memo) > self.maxsize * _BUILDS_PER_KERNEL:
+                memo.popitem(last=False)
+        return value
 
     def get_or_build(
         self,

@@ -20,13 +20,13 @@ import sys
 import pytest
 
 from repro.api import RunSpec, StragglerSpec, fingerprint
-from repro.api.registry import SCHEMES
+from repro.api.registry import CLUSTERS, SCHEMES, STRAGGLER_MODELS
 from repro.api.spec import STORE_SCHEMA_VERSION
 
-#: sha256 of the ``spec`` fixture below at store schema 2.  Update it only
+#: sha256 of the ``spec`` fixture below at store schema 3.  Update it only
 #: together with a ``STORE_SCHEMA_VERSION`` bump: stores written by older
 #: builds must never be served under a new payload.
-PINNED_DIGEST = "aa89412456edbb1c525d47f67961b540178caf61ff29eeae8bf3971acf3d801d"
+PINNED_DIGEST = "b1ffa27ffe2325c9180fb1b6d914fa6a10c8b695e5cfd82d72ee11d9026abb93"
 
 
 @pytest.fixture()
@@ -104,7 +104,7 @@ class TestStability:
 
 class TestPinned:
     def test_store_schema_version(self):
-        assert STORE_SCHEMA_VERSION == 2
+        assert STORE_SCHEMA_VERSION == 3
 
     def test_reference_spec_digest(self, spec):
         assert spec.fingerprint() == PINNED_DIGEST
@@ -145,6 +145,43 @@ class TestSensitivity:
         finally:
             SCHEMES.add(spec.scheme, original, replace=True, **metadata)
         assert spec.fingerprint() == before
+
+    def test_lambda_swap_changes_key(self, spec):
+        """Table II clusters are lambdas; re-registering one with another
+        lambda rekeys, although both share one ``module:qualname``."""
+        name = spec.cluster
+        original = CLUSTERS.get(name)
+        metadata = dict(CLUSTERS.metadata(name))
+        before = spec.fingerprint()
+        CLUSTERS.add(
+            name,
+            lambda _counts={2: 8}, **knobs: original(**knobs),
+            replace=True,
+            **metadata,
+        )
+        try:
+            assert spec.fingerprint() != before
+        finally:
+            CLUSTERS.add(name, original, replace=True, **metadata)
+        assert spec.fingerprint() == before
+
+    def test_lambda_builders_have_distinct_identities(self, spec):
+        """One lambda registered four times with different defaults, and
+        the lambdas of the builtin straggler kinds, all key differently."""
+        clusters = {
+            spec.replace(cluster=name)._fingerprint_payload()["plugins"]["cluster"]
+            for name in ("Cluster-A", "Cluster-B", "Cluster-C", "Cluster-D")
+        }
+        assert len(clusters) == 4
+        kinds = ("none", "artificial_delay", "transient", "bursty")
+        assert all(kind in STRAGGLER_MODELS for kind in kinds)
+        stragglers = {
+            spec.replace(straggler=StragglerSpec(kind))._fingerprint_payload()[
+                "plugins"
+            ]["straggler"]
+            for kind in kinds
+        }
+        assert len(stragglers) == len(kinds)
 
     def test_unknown_plugin_maps_to_none(self, spec):
         """Fingerprints stay computable before validation catches the name."""

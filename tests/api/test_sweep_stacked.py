@@ -228,7 +228,9 @@ class TestSingletonTimingGroups:
     @pytest.fixture()
     def strategy_builds(self, monkeypatch):
         # Stacked members and standalone runs both build their strategy in
-        # experiments.common's shared timing set-up.
+        # experiments.common's shared timing set-up.  The process-wide
+        # cache memoises those builds, so count from an empty memo.
+        Engine.clear_timing_kernel_cache()
         calls = []
         build = common_module.build_strategy
 
@@ -261,6 +263,7 @@ class TestSingletonTimingGroups:
         )
         assert len(strategy_builds) == 4
         strategy_builds.clear()
+        Engine.clear_timing_kernel_cache()
         reference = [engine.run(result.spec) for result in swept]
         assert len(strategy_builds) == 4
         assert [r.to_json() for r in swept] == [r.to_json() for r in reference]

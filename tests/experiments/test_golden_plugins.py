@@ -19,7 +19,12 @@ from repro._registry import PROTOCOLS, SCHEMES
 from repro.cli import main
 from repro.coding.naive import naive_strategy
 from repro.coding.registry import register_scheme
-from repro.experiments.golden import compare_golden_reports, generate_golden_report
+from repro.experiments.golden import (
+    check_golden_report,
+    compare_golden_reports,
+    generate_golden_report,
+    write_golden_report,
+)
 from repro.protocols.coded import NaiveBSPProtocol
 from repro.protocols.runner import register_protocol
 
@@ -126,3 +131,21 @@ class TestGoldenCliFlag:
             )
         assert code == 1
         assert SCHEME_NAME in capsys.readouterr().out
+
+    def test_check_without_the_flag_passes_against_checked_in_golden(self):
+        # The committed golden has a plugins section, so the check
+        # snapshots plugins whether or not the flag is given.
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            code = main(["golden", "--check", GOLDEN_PATH])
+        assert code == 0
+
+    def test_pluginless_golden_is_checked_without_plugins(
+        self, plugin_registrations, tmp_path
+    ):
+        path = str(tmp_path / "pluginless.json")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            write_golden_report(generate_golden_report(), path)
+            text, diffs = check_golden_report(path)
+        assert diffs == [], text

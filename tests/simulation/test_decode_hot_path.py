@@ -62,8 +62,8 @@ def assert_matches_scalar(strategy, arrays):
         strategy, arrays.completion_times
     )
     assert np.array_equal(arrays.durations, durations)
-    assert arrays.workers_used == workers_used
-    assert arrays.used_groups == used_groups
+    assert arrays.workers_used.tuples() == workers_used
+    assert arrays.used_groups.tuples() == used_groups
 
 
 def stacked_runs(seeds, injectors):
