@@ -557,9 +557,8 @@ _KERNEL_NAME = re.compile(r"^(batch_|multi_|stacked_).+|.+_(batch|batched|stacke
 class UnpairedBatchKernelRule(LintRule):
     """Batched kernels must be pinned against a scalar reference in tests.
 
-    The repo's whole performance story is "batched kernel, bit-identical
-    (v1) or statistically equivalent (v2) to the scalar path".  That only
-    stays true while every public ``*_batch`` / ``*_batched`` /
+    The repo's whole performance story is "batched kernel, pinned against
+    the scalar path".  That only stays true while every public ``*_batch`` / ``*_batched`` /
     ``*_stacked`` / ``batch_*`` / ``stacked_*`` / ``multi_*`` definition
     has at least one test file that references both the kernel *and* its
     scalar counterpart (or ``repro._reference``).  The run-stacked kernels
@@ -628,21 +627,29 @@ def _kernel_is_paired(
 
 @register_rule(
     "IMP001",
-    summary="no imports from repro._reference in non-test src/ code",
+    summary=(
+        "only tests/** and repro/experiments/golden.py may import "
+        "repro._reference"
+    ),
 )
 class ReferenceImportRule(LintRule):
-    """``repro._reference`` is frozen pre-optimisation code for tests only.
+    """``repro._reference`` is the tests' and the golden report's oracle.
 
     The reference implementations exist so property tests can pin the
-    vectorized kernels bit-for-bit; production code importing them either
+    vectorized kernels, and so the golden report can reproduce its
+    ``rng_version=1`` cells; production code importing them either
     reintroduces a per-iteration Python path or (worse) drifts the
-    reference itself.  Only ``tests/**`` may import the module.
+    reference itself.  Only ``tests/**`` and
+    ``repro/experiments/golden.py`` may import the module.
     """
 
     id = "IMP001"
 
     def check(self, ctx: FileContext, project: ProjectContext) -> Iterator[Finding]:
-        if ctx.matches("_reference.py") or ctx.in_directory("tests"):
+        if (
+            ctx.matches("_reference.py", "repro/experiments/golden.py")
+            or ctx.in_directory("tests")
+        ):
             return
         for node in ast.walk(ctx.tree):
             if isinstance(node, ast.ImportFrom):
@@ -663,8 +670,9 @@ class ReferenceImportRule(LintRule):
         return self.finding(
             ctx,
             node,
-            "repro._reference holds frozen reference implementations for "
-            "tests; non-test code must use the maintained kernels instead",
+            "repro._reference holds the reference implementations and the "
+            "rng_version=1 oracle for tests and the golden report; other "
+            "code must use the maintained kernels instead",
         )
 
 

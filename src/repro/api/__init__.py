@@ -51,7 +51,7 @@ Quickstart::
 
 from .builders import build_injector, build_network
 from .client import ClientError, RunResponse, ServiceClient, SweepResponse
-from .engine import Engine, EngineError
+from .engine import Engine, EngineError, RngVersionError
 from .executors import (
     CachedExecutor,
     Executor,
@@ -103,6 +103,7 @@ def __getattr__(name: str) -> object:
 __all__ = [
     "Engine",
     "EngineError",
+    "RngVersionError",
     "RunSpec",
     "RunResult",
     "ResultError",

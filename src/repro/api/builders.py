@@ -119,9 +119,8 @@ def _build_lognormal(
     latency_sigma: float = 0.25,
     bandwidth_sigma: float = 0.1,
 ) -> CommunicationModel:
-    # Stochastic: samples per-message latency/bandwidth from the dedicated
-    # rng_version=2 "network" child stream (and therefore requires
-    # rng_version=2 on the spec).
+    # Stochastic: samples per-message latency/bandwidth from the run's
+    # dedicated "network" child stream.
     return LogNormalNetwork(
         latency_seconds=latency_seconds,
         bandwidth_bytes_per_second=bandwidth_bytes_per_second,

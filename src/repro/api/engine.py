@@ -49,7 +49,7 @@ from .executors import Executor, resolve_executor
 from .result import RunResult
 from .spec import RunSpec, SpecError
 
-__all__ = ["Engine", "EngineError"]
+__all__ = ["Engine", "EngineError", "RngVersionError"]
 
 
 #: Soft cap on ``runs * iterations * workers`` elements held by one stacked
@@ -59,6 +59,14 @@ _STACK_ELEMENT_CAP = 4_000_000
 
 class EngineError(ValueError):
     """Raised when a spec cannot be executed (unknown names, bad mode)."""
+
+
+class RngVersionError(EngineError):
+    """Raised for a spec whose RNG layout the engine does not run.
+
+    The engine runs ``rng_version=2`` only; ``rng_version=1`` results are
+    reproduced by the golden oracle in :mod:`repro._reference`.
+    """
 
 
 @dataclass(frozen=True)
@@ -140,7 +148,6 @@ def _run_timing(spec: RunSpec) -> RunTrace:
         network=build_network(spec.network),
         gradient_bytes=spec.gradient_bytes,
         seed=spec.seed,
-        rng_version=spec.rng_version,
     )
 
 
@@ -158,19 +165,15 @@ def _run_training(spec: RunSpec) -> RunTrace:
     preset = get_workload(spec.workload)
     dataset = _cached_dataset(spec.workload, spec.total_samples, spec.seed or 0)
     learning_rate = spec.learning_rate
-    # v2 threads the per-component RngStreams through the config: the coded
-    # BSP protocols consume the injector/jitter/network streams via the
-    # batched timing kernel and the training stream for construction and
-    # loss-evaluation sampling.  The derived integer seed covers the places
-    # that still need one (partition shuffling, the SSP event simulation),
-    # keeping their randomness on the training lineage, independent of the
-    # timing components.  v1 keeps the historical direct-seed behaviour.
-    config_seed = spec.seed
-    streams = None
-    if spec.rng_version == 2:
-        streams = RngStreams.from_seed(spec.seed)
-        if spec.seed is not None:
-            config_seed = streams.training_seed()
+    # The per-component RngStreams ride on the config: the coded BSP
+    # protocols consume the injector/jitter/network streams via the batched
+    # timing kernel and the training stream for construction.  The derived
+    # integer seed covers the places that still need one (partition
+    # shuffling, loss-evaluation and mini-batch sampling), keeping their
+    # randomness on the training lineage, independent of the timing
+    # components.
+    streams = RngStreams.from_seed(spec.seed)
+    config_seed = None if spec.seed is None else streams.training_seed()
     config = TrainingConfig(
         num_iterations=spec.num_iterations,
         num_stragglers=spec.num_stragglers,
@@ -232,7 +235,16 @@ class Engine:
             ) from None
 
     def validate(self, spec: RunSpec) -> None:
-        """Check every name in ``spec`` against the registries."""
+        """Check ``spec``'s RNG layout and every name in it against the
+        registries."""
+        if spec.rng_version != 2:
+            raise RngVersionError(
+                f"rng_version={spec.rng_version} is the historical "
+                "single-stream layout, which the engine no longer runs; it "
+                "runs rng_version=2 only.  repro._reference.run_spec_reference "
+                "reproduces v1 results (the golden report's v1 cells); pass "
+                "rng_version=2 for a new run"
+            )
         self._mode(spec.mode)
         if spec.mode == "timing" and spec.scheme not in SCHEMES:
             raise EngineError(
@@ -277,44 +289,43 @@ class Engine:
         ``"cached"``) or an :class:`~repro.api.executors.Executor` instance
         hands them to that executor.  Every run's randomness
         derives from its spec's seed, so results are bit-identical whatever
-        the executor; only wall-clock time changes.  Under an explicit
-        executor every spec is validated before any of them runs.
+        the executor; only wall-clock time changes.  Every spec is
+        validated before any of them runs.
         """
         specs = list(specs)
+        self._validate_all(specs, "run_many")
         chosen = resolve_executor(executor)
         if chosen is None:
             return [self.run(spec) for spec in specs]
+        return chosen.run_specs(self, specs)
+
+    def _validate_all(self, specs: Sequence[RunSpec], caller: str) -> None:
+        """Validate every spec, before any build, executor or store lookup."""
         for spec in specs:
             if not isinstance(spec, RunSpec):
                 raise SpecError(
-                    f"Engine.run_many expects RunSpecs, got {type(spec).__name__}"
+                    f"Engine.{caller} expects RunSpecs, got {type(spec).__name__}"
                 )
-            self.validate(spec)  # fail fast, before any worker starts
-        return chosen.run_specs(self, specs)
+            self.validate(spec)
 
     # -- sweep planner --------------------------------------------------
     #
     # ``sweep`` partitions its specs into *stackable groups* — runs whose
     # timing (or SSP schedule scan) can be evaluated as one run-stacked
     # kernel call — and a remainder executed through :meth:`run_many`.
-    # Stacking requires ``rng_version=2`` and an explicit seed: each run
-    # then owns per-component RNG streams, so its slice of the stacked
-    # output is bit-identical to a standalone :meth:`run` of the same spec.
+    # Stacking requires an explicit seed: each run then owns per-component
+    # RNG streams, so its slice of the stacked output is bit-identical to a
+    # standalone :meth:`run` of the same spec.
 
     def _timing_stackable(self, spec: RunSpec) -> bool:
         return (
             spec.mode == "timing"
-            and spec.rng_version == 2
             and spec.seed is not None
             and spec.num_iterations > 0
         )
 
     def _training_stackable(self, spec: RunSpec) -> bool:
-        return (
-            spec.mode == "training"
-            and spec.rng_version == 2
-            and spec.seed is not None
-        )
+        return spec.mode == "training" and spec.seed is not None
 
     def _prepare_timing_member(
         self,
@@ -340,7 +351,6 @@ class Engine:
             injector,
             network,
             spec.seed,
-            spec.rng_version,
         )
         # Two runs stack iff their decode structure and kernel inputs agree;
         # the cluster may differ per run (decode decisions depend only on
@@ -479,19 +489,15 @@ class Engine:
         executor: "Executor | str | None" = None,
     ) -> list[RunResult]:
         """Dispatch sweep specs through stacked groups plus a fallback."""
-        chosen = resolve_executor(executor)
         specs = list(specs)
+        self._validate_all(specs, "sweep")
+        chosen = resolve_executor(executor)
         results: list[RunResult | None] = [None] * len(specs)
         timing_groups: dict[tuple[Any, ...], list[_TimingStackMember]] = {}
         training_groups: dict[tuple[Any, ...], list[_TrainingStackMember]] = {}
         remainder: list[int] = []
         for index, spec in enumerate(specs):
-            if not isinstance(spec, RunSpec):
-                raise SpecError(
-                    f"Engine.sweep expects RunSpecs, got {type(spec).__name__}"
-                )
             if self._timing_stackable(spec):
-                self.validate(spec)
                 timing_member = self._prepare_timing_member(index, spec)
                 if timing_member is not None:
                     timing_groups.setdefault(
@@ -499,7 +505,6 @@ class Engine:
                     ).append(timing_member)
                     continue
             elif self._training_stackable(spec):
-                self.validate(spec)
                 training_member = self._prepare_training_member(index, spec)
                 if training_member is not None:
                     training_groups.setdefault(
@@ -598,7 +603,7 @@ class Engine:
         yields the six runs naive/0, naive/1, ... cyclic/2.
 
         Sweeps are *planned*: specs that share their decode structure and
-        kernel inputs (``rng_version=2``, explicit seeds) are executed as
+        kernel inputs (explicit seeds) are executed as
         run-stacked groups — one 3-D kernel call (or one stacked SSP
         schedule scan) per group instead of one call per run — and
         everything else falls back to :meth:`run_many`.  Under

@@ -22,6 +22,7 @@ and instantiated freshly for every run, so runs never share mutable state.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import inspect
 import json
@@ -93,8 +94,18 @@ def _code_identity(obj: Any) -> str:
     (all four Table II clusters come from one lambda), so lambda and
     ``<locals>`` functions also hash their source, defaults and closure
     contents — all stable across processes, unlike their bytecode, which
-    changes between Python versions.
+    changes between Python versions.  A :class:`functools.partial` is its
+    function's identity plus a digest of its bound arguments, so two
+    partials over one factory stay distinct.
     """
+    if isinstance(obj, functools.partial):
+        parts = [_value_identity(value) for value in obj.args]
+        parts.extend(
+            f"{key}={_value_identity(value)}"
+            for key, value in sorted(obj.keywords.items())
+        )
+        digest = hashlib.sha256("\0".join(parts).encode("utf-8")).hexdigest()
+        return f"{_code_identity(obj.func)}#partial:{digest[:16]}"
     module = getattr(obj, "__module__", None)
     qualname = getattr(obj, "__qualname__", None)
     if module is None or qualname is None:  # registered instances (workloads)
@@ -235,16 +246,16 @@ class RunSpec:
         Seed for all randomness in the run; two specs sharing a seed see
         identical per-iteration conditions (paired comparisons).
     rng_version:
-        RNG stream layout version.  ``1`` (default) is the historical
-        single-stream layout: the straggler injector and the compute jitter
-        interleave their draws on one generator, and traces are
-        bit-identical to every release since the seed.  ``2`` spawns one
-        child stream per randomness component (injector, jitter, network,
-        training sampling) from the seed via
+        RNG stream layout version.  ``2`` (default, and the only layout the
+        engine runs) spawns one child stream per randomness component
+        (injector, jitter, network, training sampling) from the seed via
         :class:`numpy.random.SeedSequence`, which lets the timing kernel
-        draw whole traces in batched calls — statistically equivalent to
-        v1 at matched seeds but not bit-identical.  See
-        :mod:`repro.simulation.rng`.
+        draw whole traces in batched calls; see
+        :mod:`repro.simulation.rng`.  ``1`` names the historical
+        single-stream layout.  It stays a valid value so specs and
+        fingerprints of v1 runs remain readable, but the engine rejects it;
+        :func:`repro._reference.run_spec_reference` reproduces v1 results
+        for the golden report.
     """
 
     scheme: str = "heter_aware"
@@ -266,7 +277,7 @@ class RunSpec:
     loss_eval_samples: int = 0
     record_loss_every: int = 1
     seed: int | None = 0
-    rng_version: int = 1
+    rng_version: int = 2
 
     def __post_init__(self) -> None:
         object.__setattr__(
@@ -344,12 +355,18 @@ class RunSpec:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "RunSpec":
-        """Build a spec from :meth:`to_dict` output (unknown keys rejected)."""
+        """Build a spec from :meth:`to_dict` output (unknown keys rejected).
+
+        A payload without ``rng_version`` predates the field, so it was a
+        v1 run: it loads as ``rng_version=1`` rather than taking the
+        current default, and the engine then refuses to run it instead of
+        silently changing its results.
+        """
         fields = {f.name for f in dataclasses.fields(cls)}
         unknown = set(data) - fields
         if unknown:
             raise SpecError(f"unknown RunSpec fields: {sorted(unknown)}")
-        return cls(**dict(data))
+        return cls(**{"rng_version": 1, **data})
 
     def to_json(self, indent: int | None = None) -> str:
         return json.dumps(self.to_dict(), indent=indent)

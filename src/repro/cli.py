@@ -166,10 +166,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="delay_seconds shortcut for --straggler-model artificial_delay")
     run.add_argument("--learning-rate", type=float, default=0.1)
     run.add_argument("--seed", type=int, default=0)
-    run.add_argument("--rng-version", type=int, default=1, choices=(1, 2),
-                     help="RNG stream layout: 1 = historical bit-reproducible "
-                          "single stream, 2 = per-component batched streams "
-                          "(faster, statistically equivalent)")
     run.add_argument("--executor", default=None, metavar="NAME",
                      help="executor to route the run through "
                           "(process, cached); default runs in-process")
@@ -213,7 +209,8 @@ def build_parser() -> argparse.ArgumentParser:
             "and either write the JSON report (--output) or diff it against "
             "a checked-in golden file (--check), exiting non-zero on any "
             "difference.  This gates the byte-stability of every execution "
-            "path (v1 bit-identity, v2 determinism) in CI."
+            "path in CI; the rng_version=1 cells come from the "
+            "repro._reference oracle."
         ),
     )
     golden.add_argument("--output", default=None, metavar="PATH",
@@ -380,7 +377,6 @@ def _command_run(args: argparse.Namespace) -> str:
             straggler={"kind": straggler_model, "params": straggler_params},
             learning_rate=args.learning_rate,
             seed=args.seed,
-            rng_version=args.rng_version,
         )
     if args.store:
         from .api.executors import CachedExecutor

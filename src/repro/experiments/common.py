@@ -35,7 +35,7 @@ from ..coding.registry import build_strategy, natural_partitions
 from ..coding.types import CodingStrategy
 from ..simulation.cluster import ClusterSpec
 from ..simulation.network import CommunicationModel, SimpleNetwork
-from ..simulation.rng import RNG_VERSIONS, RngStreams
+from ..simulation.rng import RngStreams
 from ..simulation.stragglers import NoStragglers, StragglerInjector
 from ..simulation.trace import RunTrace
 from ..simulation.vectorized import StackedRun, default_timing_kernel_cache
@@ -44,11 +44,7 @@ __all__ = [
     "measure_timing_trace",
     "default_partitions",
     "SampleCountDriftWarning",
-    "TIMING_SEED_OFFSET",
 ]
-
-#: Offset separating the construction RNG stream from the timing RNG stream.
-TIMING_SEED_OFFSET = 104_729
 
 
 class SampleCountDriftWarning(UserWarning):
@@ -123,15 +119,10 @@ def _timing_setup(
     injector: StragglerInjector,
     network: CommunicationModel,
     seed: int | None,
-    rng_version: int,
 ) -> _TimingSetup:
     """Partition count, samples per partition, strategy and trace metadata."""
     if total_samples <= 0:
         raise ValueError("total_samples must be positive")
-    if rng_version not in RNG_VERSIONS:
-        raise ValueError(
-            f"unknown rng_version {rng_version!r}; supported: {RNG_VERSIONS}"
-        )
     k = num_partitions or natural_partitions(
         scheme, cluster.num_workers, partitions_multiplier
     )
@@ -174,11 +165,8 @@ def _timing_setup(
         "num_groups": len(strategy.groups),
         "injector": injector.describe(),
         "network": network.describe(),
+        "rng_version": 2,
     }
-    if rng_version != 1:
-        # v1 traces predate the field; leaving it implicit keeps their JSON
-        # byte-identical to pre-rng_version releases.
-        metadata["rng_version"] = rng_version
     return _TimingSetup(
         scheme=scheme,
         strategy=strategy,
@@ -200,7 +188,6 @@ def measure_timing_trace(
     network: CommunicationModel | None = None,
     gradient_bytes: float = 8.0 * 65536,
     seed: int | None = 0,
-    rng_version: int = 1,
 ) -> RunTrace:
     """Simulate ``num_iterations`` of one scheme and return a timing trace.
 
@@ -236,16 +223,15 @@ def measure_timing_trace(
         ``k / m`` for the heterogeneity-aware family.
     num_partitions:
         Explicit override of ``k`` (all schemes then use it).
-    injector, network, gradient_bytes, seed:
-        Simulation knobs; see :func:`repro.simulation.simulate_iteration`.
-    rng_version:
-        RNG stream layout.  ``1`` (default) interleaves the injector and
-        jitter draws on one generator per iteration, bit-identical to every
-        release since the seed.  ``2`` spawns per-component child streams
-        from the seed (:class:`~repro.simulation.rng.RngStreams`) and runs
-        the whole trace as a 1-run stack of batched draws — statistically
-        equivalent to v1 at matched seeds, several times faster, but not
-        bit-identical.
+    injector, network, gradient_bytes:
+        The straggler model, the communication model and the coded
+        gradient's payload size on the wire.
+    seed:
+        Seeds the coding-matrix construction and, through the
+        per-component child streams of
+        :class:`~repro.simulation.rng.RngStreams`, the injector, jitter and
+        network draws; the whole trace runs as a 1-run stack of batched
+        draws.
     """
     if num_iterations <= 0:
         raise ValueError("num_iterations must be positive")
@@ -261,7 +247,6 @@ def measure_timing_trace(
         injector,
         network,
         seed,
-        rng_version,
     )
     setup.warn_if_drifted(stacklevel=2)
     kernel = default_timing_kernel_cache().get_or_build(
@@ -271,20 +256,14 @@ def measure_timing_trace(
         network=network,
         gradient_bytes=gradient_bytes,
     )
-    if rng_version == 1:
-        timing_rng = np.random.default_rng(
-            None if seed is None else seed + TIMING_SEED_OFFSET
-        )
-        arrays = kernel.run(num_iterations, rng=timing_rng, injector=injector)
-    else:
-        streams = RngStreams.from_seed(seed)
-        run = StackedRun(
-            injector_rng=streams.injector,
-            jitter_rng=streams.jitter,
-            network_rng=streams.network,
-            injector=injector,
-        )
-        arrays = kernel.run_stacked(num_iterations, [run])[0]
+    streams = RngStreams.from_seed(seed)
+    run = StackedRun(
+        injector_rng=streams.injector,
+        jitter_rng=streams.jitter,
+        network_rng=streams.network,
+        injector=injector,
+    )
+    arrays = kernel.run_stacked(num_iterations, [run])[0]
     # Columnar hand-off: the kernel arrays become the trace's storage as-is;
     # no per-iteration record object is ever constructed.
     return RunTrace.from_arrays(

@@ -6,11 +6,14 @@ of the paper — the Fig. 2/3/5 timing shapes, real Fig. 4 training runs
 cluster statistics — at pinned seeds and CI-sized configurations, then
 diffs it against the checked-in ``goldens/experiments.json``.  What PR
 descriptions used to assert by hand ("fig2-fig5/table2 outputs verified
-byte-identical at fixed seeds") is thereby *gated*: any change to a
-v1 code path that perturbs historical outputs, or any nondeterminism in the
-v2 batched paths, fails the CI ``golden`` job with a structured diff.
-``--include-plugins`` extends the grid to every registry-registered
-third-party scheme/protocol, pinning plugin outputs the same way.
+byte-identical at fixed seeds") is thereby *gated*: any change that
+perturbs pinned outputs, or any nondeterminism in the batched paths, fails
+the CI ``golden`` job with a structured diff.  The ``rng_version=2`` cells
+run through the engine; the engine runs nothing else, so the historical
+``rng_version=1`` cells come from the oracle in :mod:`repro._reference`
+(:func:`~repro._reference.run_spec_reference`).  ``--include-plugins``
+extends the grid to every registry-registered third-party scheme/protocol,
+pinning plugin outputs the same way.
 
 Numeric leaves are compared with a tight relative tolerance (default
 ``1e-9``) rather than textually: RNG streams are bit-stable across
@@ -26,6 +29,7 @@ from __future__ import annotations
 import json
 from typing import Any
 
+from .._reference import run_spec_reference
 from ..api import Engine, RunSpec, StragglerSpec
 
 __all__ = [
@@ -84,7 +88,7 @@ def _golden_specs() -> list[tuple[str, RunSpec]]:
                     f"fig3/{cluster}/{scheme}",
                     RunSpec(
                         scheme=scheme, cluster=cluster, num_iterations=5,
-                        total_samples=4096, seed=0,
+                        total_samples=4096, seed=0, rng_version=1,
                         straggler=StragglerSpec(
                             "transient",
                             {"probability": 0.05, "mean_delay_seconds": 0.5},
@@ -99,6 +103,7 @@ def _golden_specs() -> list[tuple[str, RunSpec]]:
                 RunSpec(
                     scheme=scheme, cluster="Cluster-A", num_iterations=5,
                     total_samples=2048, seed=0, gradient_bytes=8.0 * 65536,
+                    rng_version=1,
                     straggler=StragglerSpec(
                         "transient", {"probability": 0.2, "mean_delay_seconds": 1.0}
                     ),
@@ -106,7 +111,7 @@ def _golden_specs() -> list[tuple[str, RunSpec]]:
             )
         )
     # Fig. 4 shape: real training, both RNG stream layouts — the v1 cells
-    # pin the historical per-iteration/per-event paths bit-for-bit, the v2
+    # pin the oracle's per-iteration/per-event loops bit-for-bit, the v2
     # cells pin the batched coded and batched SSP/Async engines.
     for scheme in _TRAINING_SCHEMES:
         for rng_version in (1, 2):
@@ -144,47 +149,46 @@ def _plugin_specs() -> list[tuple[str, RunSpec]]:
 
     ``repro golden --include-plugins`` snapshots every scheme and protocol
     registered beyond the builtins: schemes through a Fig. 2-shaped timing
-    run, protocols through a Fig. 4-shaped training run, each at both RNG
-    stream layouts.  The v2 cells run through the one v2 timing path, the
-    run-stacked kernel (a single run is a 1-run stack), and its per-run
-    ``delays_batch``/``compute_times_batch`` draws, so a stacked-path
-    refactor cannot silently change plugin outputs.
+    run, protocols through a Fig. 4-shaped training run.  Plugins have no
+    ``rng_version=1`` history to pin, so their cells run at v2 only,
+    through the one timing path, the run-stacked kernel (a single run is a
+    1-run stack), and its per-run ``delays_batch``/``compute_times_batch``
+    draws, so a stacked-path refactor cannot silently change plugin
+    outputs.
     """
     schemes, protocols = _plugin_names()
     specs: list[tuple[str, RunSpec]] = []
     for scheme in schemes:
-        for rng_version in (1, 2):
-            specs.append(
-                (
-                    f"plugins/scheme/{scheme}/v{rng_version}",
-                    RunSpec(
-                        scheme=scheme, cluster="Cluster-A", num_iterations=5,
-                        total_samples=2048, seed=0, rng_version=rng_version,
-                        straggler=StragglerSpec(
-                            "artificial_delay",
-                            {"num_stragglers": 1, "delay_seconds": 1.0},
-                        ),
+        specs.append(
+            (
+                f"plugins/scheme/{scheme}/v2",
+                RunSpec(
+                    scheme=scheme, cluster="Cluster-A", num_iterations=5,
+                    total_samples=2048, seed=0,
+                    straggler=StragglerSpec(
+                        "artificial_delay",
+                        {"num_stragglers": 1, "delay_seconds": 1.0},
                     ),
-                )
+                ),
             )
+        )
     for protocol in protocols:
-        for rng_version in (1, 2):
-            specs.append(
-                (
-                    f"plugins/protocol/{protocol}/v{rng_version}",
-                    RunSpec(
-                        mode="training", scheme=protocol, cluster="Cluster-A",
-                        workload="nonseparable_blobs", total_samples=256,
-                        num_iterations=4, seed=0, rng_version=rng_version,
-                        learning_rate=0.5, ssp_staleness=3, ssp_batch_size=8,
-                        loss_eval_samples=64,
-                        straggler=StragglerSpec(
-                            "transient",
-                            {"probability": 0.05, "mean_delay_seconds": 0.5},
-                        ),
+        specs.append(
+            (
+                f"plugins/protocol/{protocol}/v2",
+                RunSpec(
+                    mode="training", scheme=protocol, cluster="Cluster-A",
+                    workload="nonseparable_blobs", total_samples=256,
+                    num_iterations=4, seed=0,
+                    learning_rate=0.5, ssp_staleness=3, ssp_batch_size=8,
+                    loss_eval_samples=64,
+                    straggler=StragglerSpec(
+                        "transient",
+                        {"probability": 0.05, "mean_delay_seconds": 0.5},
                     ),
-                )
+                ),
             )
+        )
     return specs
 
 
@@ -199,13 +203,14 @@ def generate_golden_report(include_plugins: bool = False) -> dict:
     """
     from .table2_clusters import run_table2
 
-    engine = Engine()
+    # RNG layout -> runner: the engine runs v2, the oracle reproduces v1.
+    runners = {1: run_spec_reference, 2: Engine().run}
     specs = _golden_specs()
     if include_plugins:
         specs = specs + _plugin_specs()
     runs: dict[str, dict] = {}
     for name, spec in specs:
-        runs[name] = engine.run(spec).to_dict()
+        runs[name] = runners[spec.rng_version](spec).to_dict()
     table2 = run_table2(seed=0)
     payload: dict[str, Any] = {
         "format_version": GOLDEN_FORMAT_VERSION,

@@ -62,21 +62,23 @@ class TrainingConfig:
         Size of one gradient entry on the wire (8 for float64).
     seed:
         Seed for all randomness inside the run (timing jitter, straggler
-        choice, coding matrix construction).
+        choice, coding matrix construction, partitioning, loss-evaluation
+        and mini-batch sampling).
     record_loss_every:
         Evaluate and record the training loss every this many iterations
         (loss evaluation is the most expensive part of a simulated step).
     loss_eval_samples:
         Evaluate the loss on at most this many samples (0 = all).
     rng_streams:
-        Optional per-component :class:`~repro.simulation.rng.RngStreams`
-        (the ``rng_version=2`` layout).  When set, protocols that support
-        it draw their timing randomness from the ``injector``/``jitter``/
-        ``network`` child streams — enabling the whole-trace batched timing
-        kernel — and their construction/loss-evaluation sampling from the
-        ``training`` stream (via :meth:`make_rng` with ``component=``).
-        ``None`` (the default) keeps the historical seed-offset streams and
-        the bit-identical per-iteration path.
+        Per-component :class:`~repro.simulation.rng.RngStreams`.  Protocols
+        draw their timing randomness from the ``injector``/``jitter``/
+        ``network`` child streams — which is what lets the whole-trace
+        batched timing kernel run — and their coding-matrix construction
+        from the ``training`` stream (via :meth:`make_rng` with
+        ``component=``).  When not given, the streams are spawned from
+        :attr:`seed`.  The streams are live generators that a run consumes,
+        so give every run its own config (or its own streams) when runs
+        must be paired.
     """
 
     num_iterations: int = 20
@@ -109,6 +111,7 @@ class TrainingConfig:
             raise ProtocolError("record_loss_every must be positive")
         if self.loss_eval_samples < 0:
             raise ProtocolError("loss_eval_samples must be non-negative")
+        self.rng_streams = self.rng_streams or RngStreams.from_seed(self.seed)
 
     def resolve_partitions(self, num_workers: int, scheme: str = "heter_aware") -> int:
         """Pick ``k`` for a scheme: the explicit override or the natural count."""
@@ -125,19 +128,15 @@ class TrainingConfig:
     ) -> np.random.Generator:
         """Generator for one randomness component of the run.
 
-        Without :attr:`rng_streams` (the historical layout) this returns a
-        fresh generator seeded from ``seed + stream_offset``; different
-        offsets yield independent streams (e.g. one for coding-matrix
-        construction, one for timing jitter) so that comparisons between
-        schemes sharing a seed are paired: both see identical per-iteration
-        conditions.
-
-        With :attr:`rng_streams` set and ``component`` given (one of
+        With ``component`` given (one of
         :data:`~repro.simulation.rng.RNG_COMPONENTS`), the *live* child
-        generator of that component is returned instead — repeated calls
-        continue the same stream, which is what lets the batched protocols
-        draw construction and evaluation randomness from one ``training``
-        lineage.
+        generator of that component in :attr:`rng_streams` is returned —
+        repeated calls continue the same stream.
+
+        Without it, this returns a fresh generator seeded from
+        ``seed + stream_offset``; different offsets yield independent
+        streams (e.g. one for loss evaluation, one for mini-batch choice),
+        and every call with one offset restarts the same stream.
         """
         if component is not None:
             if component not in RNG_COMPONENTS:
@@ -145,11 +144,10 @@ class TrainingConfig:
                     f"unknown rng component {component!r}; expected one of "
                     f"{RNG_COMPONENTS}"
                 )
-            if self.rng_streams is not None:
-                return getattr(self.rng_streams, component)
+            return getattr(self.rng_streams, component)
         if self.seed is None:
             # seed=None is the documented "explicitly non-reproducible run"
-            # escape hatch (mirrors default_rng(None) semantics under v1).
+            # escape hatch (mirrors default_rng(None) semantics).
             return np.random.default_rng(None)  # repro-lint: disable=RNG001
         return np.random.default_rng(self.seed + stream_offset)
 

@@ -18,34 +18,28 @@ every coded scheme is identical — exactly the paper's point that coded BSP
 keeps the accuracy of synchronous training.  What differs between schemes is
 the simulated time axis.
 
-Two execution paths produce that per-iteration structure:
-
-* the historical per-iteration loop (``config.rng_streams is None``), which
-  is bit-identical to every release since the seed; and
-* the **batched** path (``config.rng_streams`` set, i.e. ``rng_version=2``):
-  the whole run's timing comes from one 1-run
-  :meth:`~repro.simulation.vectorized.TimingTraceKernel.run_stacked` call,
-  each iteration's encode+decode collapses into a single ``(a B) @ G``
-  vector-matrix product over the reused partition-gradient stack, the
-  optimiser updates parameters in place, and the trace is assembled
-  column-first via :meth:`~repro.simulation.trace.RunTrace.from_arrays` —
-  no per-iteration Python objects anywhere.  Statistically equivalent to
-  the per-iteration path at matched seeds, several times faster.
+The run is batched: its whole timing comes from one 1-run
+:meth:`~repro.simulation.vectorized.TimingTraceKernel.run_stacked` call
+over the config's per-component RNG streams, each iteration's
+encode+decode collapses into a single ``(a B) @ G`` vector-matrix product
+over the reused partition-gradient stack, the optimiser updates parameters
+in place, and the trace is assembled column-first via
+:meth:`~repro.simulation.trace.RunTrace.from_arrays` — no per-iteration
+Python objects anywhere.  The historical per-iteration loop (one timing
+draw, one encode and one decode per step) survives only as the golden
+oracle in :mod:`repro._reference`.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..coding.decoding import Decoder
 from ..coding.registry import build_strategy
 from ..coding.types import CodingStrategy
-from ..learning.gradients import compute_partial_gradients, encode_worker_gradient
 from ..learning.models.base import Model
 from ..learning.partition import PartitionedDataset
 from ..simulation.cluster import ClusterSpec
-from ..simulation.timing import simulate_iteration
-from ..simulation.trace import IterationRecord, RunTrace
+from ..simulation.trace import RunTrace
 from ..simulation.vectorized import (
     StackedRun,
     TimingTraceArrays,
@@ -109,7 +103,8 @@ class CodedBSPProtocol(TrainingProtocol):
         config: TrainingConfig,
         construction_rng: np.random.Generator,
     ) -> tuple[CodingStrategy, "object", float, int, dict]:
-        """Strategy/optimiser setup shared by both execution paths."""
+        """Strategy, optimiser, payload size, sample count and trace
+        metadata of one run."""
         num_partitions = partitioned.num_partitions
         strategy = self.build_strategy(
             cluster, num_partitions, config.num_stragglers, construction_rng
@@ -150,101 +145,8 @@ class CodedBSPProtocol(TrainingProtocol):
         cluster: ClusterSpec,
         config: TrainingConfig,
     ) -> RunTrace:
-        if config.rng_streams is not None:
-            return self._run_batched(model, partitioned, cluster, config)
-        # Two independent streams: one for the randomised coding-matrix
-        # construction, one for timing jitter / straggler choice.  Schemes
-        # run with the same seed then face identical iteration conditions.
-        construction_rng = config.make_rng()
-        timing_rng = config.make_rng(stream_offset=104_729)
-        strategy, optimizer, gradient_bytes, total_samples, metadata = (
-            self._prepare(model, partitioned, cluster, config, construction_rng)
-        )
-        decoder = Decoder(strategy)
-
-        trace = RunTrace(
-            scheme=self.name,
-            cluster_name=cluster.name,
-            metadata=metadata,
-        )
-
-        parameters = model.parameters()
-        last_loss = float("nan")
-        for iteration in range(config.num_iterations):
-            timing = simulate_iteration(
-                strategy,
-                cluster,
-                samples_per_partition=partitioned.partition_size,
-                decoder=decoder,
-                injector=config.straggler_injector,
-                iteration=iteration,
-                gradient_bytes=gradient_bytes,
-                network=config.network,
-                rng=timing_rng,
-            )
-            if iteration % config.record_loss_every == 0:
-                last_loss = evaluate_mean_loss(
-                    model, partitioned, config.loss_eval_samples, construction_rng
-                )
-
-            if not timing.decodable:
-                # The master can never recover this iteration (e.g. naive
-                # scheme with a failed worker): record the stall and abort.
-                trace.append(
-                    IterationRecord(
-                        iteration=iteration,
-                        duration=float("inf"),
-                        train_loss=last_loss,
-                        compute_times=tuple(timing.compute_times),
-                        completion_times=tuple(timing.completion_times),
-                        workers_used=(),
-                        used_group=None,
-                    )
-                )
-                break
-
-            # Real gradient computation for the workers the master used.
-            needed_partitions = sorted(
-                {
-                    partition
-                    for worker in timing.workers_used
-                    for partition in strategy.support(worker)
-                }
-            )
-            partial_gradients = compute_partial_gradients(
-                model, partitioned, needed_partitions
-            )
-            coded = {
-                worker: encode_worker_gradient(strategy, worker, partial_gradients)
-                for worker in timing.workers_used
-            }
-            aggregated = decoder.decode(coded)
-            parameters = optimizer.step(parameters, aggregated / total_samples)
-            model.set_parameters(parameters)
-
-            trace.append(
-                IterationRecord(
-                    iteration=iteration,
-                    duration=timing.duration,
-                    train_loss=last_loss,
-                    compute_times=tuple(timing.compute_times),
-                    completion_times=tuple(timing.completion_times),
-                    workers_used=timing.workers_used,
-                    used_group=timing.used_group,
-                )
-            )
-        return trace
-
-    # ------------------------------------------------------------------
-    def _run_batched(
-        self,
-        model: Model,
-        partitioned: PartitionedDataset,
-        cluster: ClusterSpec,
-        config: TrainingConfig,
-    ) -> RunTrace:
-        """The ``rng_version=2`` fast path: whole-trace timing, stacked
-        gradients, fused encode+decode, in-place updates, columnar trace.
+        """Whole-trace timing, stacked gradients, fused encode+decode,
+        in-place updates, columnar trace.
 
         Per-iteration work reduces to one
         :meth:`~repro.learning.models.base.Model.batch_loss_and_gradient`
@@ -260,11 +162,9 @@ class CodedBSPProtocol(TrainingProtocol):
 
         The recorded training loss is the **exact** full-batch mean loss:
         the stacked gradient evaluation already yields every partition's
-        loss at the pre-update parameters, so the subsampled estimate the
-        per-iteration path uses (``config.loss_eval_samples``) is replaced
-        by the quantity it estimates, at zero extra cost.
+        loss at the pre-update parameters, at zero extra cost
+        (``config.loss_eval_samples`` is not used).
         """
-        streams = config.rng_streams
         construction_rng = config.make_rng(component="training")
         strategy, optimizer, gradient_bytes, total_samples, metadata = (
             self._prepare(model, partitioned, cluster, config, construction_rng)
@@ -280,9 +180,9 @@ class CodedBSPProtocol(TrainingProtocol):
         )
         decoder = kernel.decoder
         run = StackedRun(
-            injector_rng=streams.injector,
-            jitter_rng=streams.jitter,
-            network_rng=streams.network,
+            injector_rng=config.make_rng(component="injector"),
+            jitter_rng=config.make_rng(component="jitter"),
+            network_rng=config.make_rng(component="network"),
             injector=config.straggler_injector,
         )
         arrays = kernel.run_stacked(config.num_iterations, [run])[0]

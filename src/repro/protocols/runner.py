@@ -27,6 +27,7 @@ explicitly.
 
 from __future__ import annotations
 
+import dataclasses
 from collections.abc import Callable, Mapping, Sequence
 
 from .._registry import PROTOCOLS, register_protocol
@@ -191,7 +192,13 @@ def compare_schemes(
     ssp_staleness: float = 3,
     ssp_batch_size: int | None = None,
 ) -> Mapping[str, RunTrace]:
-    """Run several schemes on identical fresh models; return traces by name."""
+    """Run several schemes on identical fresh models; return traces by name.
+
+    Every scheme runs on its own copy of ``config`` whose RNG streams are
+    spawned afresh from ``config.seed``, so all schemes face identical
+    per-iteration conditions (explicit ``config.rng_streams`` are not
+    shared between schemes).
+    """
     traces: dict[str, RunTrace] = {}
     for scheme in schemes:
         traces[scheme] = run_scheme(
@@ -199,7 +206,7 @@ def compare_schemes(
             model_factory,
             dataset,
             cluster,
-            config,
+            dataclasses.replace(config, rng_streams=None),
             ssp_staleness=ssp_staleness,
             ssp_batch_size=ssp_batch_size,
         )

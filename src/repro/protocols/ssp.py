@@ -24,40 +24,36 @@ One :class:`~repro.simulation.trace.RunTrace` record is emitted per *round*
 (= ``num_workers`` pushed updates), so traces are comparable with the BSP
 protocols' per-iteration records.
 
-Two execution paths produce those rounds (mirroring the v1/v2 contract of
-the coded protocols):
+The simulation is batched: all step durations are pre-drawn in
+whole-matrix calls
+(:meth:`~repro.simulation.cluster.ClusterSpec.compute_times_batch`,
+:meth:`~repro.simulation.stragglers.StragglerInjector.delays_batch`, and
+for stochastic networks the batched
+:meth:`~repro.simulation.network.CommunicationModel.sample_transfer_times`
+on the dedicated ``network`` child stream), and the event dynamics are
+resolved **without a heap**: with durations fixed, a worker's step-``c``
+finish time obeys the recurrence ::
 
-* the historical per-event heap loop (``config.rng_streams is None``) —
-  one RNG draw, one parameter snapshot and one heap operation per pushed
-  update, bit-identical to every release since the seed; and
-* the **batched** path (``config.rng_streams`` set, i.e. ``rng_version=2``):
-  all step durations are pre-drawn in whole-matrix calls
-  (:meth:`~repro.simulation.cluster.ClusterSpec.compute_times_batch`,
-  :meth:`~repro.simulation.stragglers.StragglerInjector.delays_batch`, and
-  for stochastic networks the batched
-  :meth:`~repro.simulation.network.CommunicationModel.sample_transfer_times`
-  on the dedicated ``network`` child stream), and the event dynamics are
-  resolved **without a heap**: with durations fixed, a worker's step-``c``
-  finish time obeys the recurrence ::
+    F[w, c] = max(F[w, c-1], M[c - s - 1]) + D[c, w],   M[j] = max_w F[w, j]
 
-      F[w, c] = max(F[w, c-1], M[c - s - 1]) + D[c, w],   M[j] = max_w F[w, j]
-
-  (the ``M`` gate is the staleness barrier — "every worker has completed
-  step ``c - s``"; ``staleness=inf`` drops it, so the Async baseline is the
-  no-blocking special case where ``F`` is a plain column cumsum).  A numpy
-  scan over per-worker clocks evaluates the recurrence chunk by chunk, the
-  global update order is one ``lexsort`` over the finite finish times, and
-  the snapshot each update was computed against falls out of the same rank
-  arithmetic.  Only the real gradient replay — inherently sequential, one
-  tiny model evaluation per update — stays in Python, and the trace is
-  emitted as whole arrays through
-  :meth:`~repro.simulation.trace.RunTrace.from_arrays`.  Statistically
-  equivalent to the heap loop at matched seeds, several times faster.
+(the ``M`` gate is the staleness barrier — "every worker has completed
+step ``c - s``"; ``staleness=inf`` drops it, so the Async baseline is the
+no-blocking special case where ``F`` is a plain column cumsum).  A numpy
+scan over per-worker clocks evaluates the recurrence chunk by chunk, the
+global update order is one ``lexsort`` over the finite finish times, and
+the snapshot each update was computed against falls out of the same rank
+arithmetic.  Only the real gradient replay — inherently sequential, one
+tiny model evaluation per update — stays in Python, and the trace is
+emitted as whole arrays through
+:meth:`~repro.simulation.trace.RunTrace.from_arrays`.  The historical
+per-event heap loop (one RNG draw, one parameter snapshot and one heap
+operation per pushed update) survives only as the oracle in
+:mod:`repro._reference`; with the same step durations both produce the
+same schedule.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 import time
 from collections.abc import Sequence
@@ -68,7 +64,7 @@ import numpy as np
 from ..learning.models.base import Model, generic_kernels_forced
 from ..learning.partition import PartitionedDataset
 from ..simulation.cluster import ClusterSpec
-from ..simulation.trace import IterationRecord, RaggedColumn, RunTrace
+from ..simulation.trace import RaggedColumn, RunTrace
 from ..simulation.vectorized import TimingTraceArrays
 from .base import ProtocolError, TrainingConfig, TrainingProtocol, evaluate_mean_loss
 
@@ -222,9 +218,7 @@ class SSPProtocol(TrainingProtocol):
         cluster: ClusterSpec,
         config: TrainingConfig,
     ) -> RunTrace:
-        if config.rng_streams is not None:
-            return self.run_stacked([model], [partitioned], [cluster], [config])[0]
-        return self.run_per_event(model, partitioned, cluster, config)
+        return self.run_stacked([model], [partitioned], [cluster], [config])[0]
 
     # ------------------------------------------------------------------
     def run_stacked(
@@ -234,9 +228,9 @@ class SSPProtocol(TrainingProtocol):
         clusters: Sequence[ClusterSpec],
         configs: Sequence[TrainingConfig],
     ) -> list[RunTrace]:
-        """Run many independent ``rng_version=2`` trainings with one stacked scan.
+        """Run many independent trainings with one stacked scan.
 
-        This is the one v2 SSP path: :meth:`run` is a 1-run stack.  The
+        This is the one SSP path: :meth:`run` is a 1-run stack.  The
         expensive part of the batched path — the heap-free schedule scan —
         is evaluated once over a ``(runs, workers)`` clock matrix instead of
         once per run, so a sweep of ``R`` seeds costs one numpy scan per
@@ -255,12 +249,6 @@ class SSPProtocol(TrainingProtocol):
             )
         if num_runs == 0:
             raise ProtocolError("run_stacked needs at least one run")
-        for index, config in enumerate(configs):
-            if config.rng_streams is None:
-                raise ProtocolError(
-                    f"stacked run {index} has rng_version=1; run_stacked "
-                    "requires per-component RngStreams (rng_version=2)"
-                )
         assignments: list[tuple[list[list[int]], np.ndarray]] = []
         gradient_bytes_list: list[float] = []
         injector_rngs: list[np.random.Generator] = []
@@ -302,176 +290,7 @@ class SSPProtocol(TrainingProtocol):
         ]
 
     # ------------------------------------------------------------------
-    def run_per_event(
-        self,
-        model: Model,
-        partitioned: PartitionedDataset,
-        cluster: ClusterSpec,
-        config: TrainingConfig,
-    ) -> RunTrace:
-        """The historical per-event heap simulation (``rng_version=1``).
-
-        Bit-identical to every release since the seed when
-        ``config.rng_streams`` is ``None``; kept callable with streams set
-        so the batched path can be property-tested against it (notably that
-        both consume stochastic-network draws from the same ``network``
-        child stream).
-        """
-        # Same stream split as the BSP protocols: the timing stream is
-        # separate from everything else so runs with a shared seed are
-        # comparable across protocols.  Mini-batch sampling gets its own
-        # stream so enabling it does not perturb the timing draws.
-        eval_rng = config.make_rng()
-        timing_rng = config.make_rng(stream_offset=104_729)
-        batch_rng = config.make_rng(stream_offset=208_003)
-        network = config.network
-        network_rng: np.random.Generator | None = None
-        if network.is_stochastic:
-            # Per-message transfer times come from the dedicated v2
-            # ``network`` child stream; without per-component streams the
-            # model cannot be honoured, so fail loudly rather than silently
-            # collapsing every message to the median.
-            if config.rng_streams is None:
-                raise ProtocolError(
-                    f"{type(network).__name__} samples per-message transfer "
-                    "times and requires rng_version=2 (per-component "
-                    "RngStreams on the TrainingConfig); the historical "
-                    "stream layout has no slot for network draws"
-                )
-            network_rng = config.make_rng(component="network")
-        num_workers = cluster.num_workers
-        shards, shard_sizes = self._validate_and_shard(partitioned, cluster)
-        shard_data = [self._shard_data(partitioned, shard) for shard in shards]
-        gradient_bytes = model.num_parameters * config.bytes_per_parameter
-
-        optimizer = config.optimizer_factory()
-        parameters = model.parameters()
-
-        trace = RunTrace(
-            scheme=self.name,
-            cluster_name=cluster.name,
-            metadata=self._trace_metadata(partitioned, shard_sizes, config),
-        )
-
-        clocks = np.zeros(num_workers, dtype=np.int64)
-        snapshots: list[np.ndarray] = [parameters.copy() for _ in range(num_workers)]
-        snapshot_versions = np.zeros(num_workers, dtype=np.int64)
-        blocked: set[int] = set()
-        heap: list[tuple[float, int]] = []
-        updates = 0
-
-        def step_duration(worker: int, iteration: int) -> float:
-            spec = cluster.workers[worker]
-            compute = spec.compute_time(float(shard_sizes[worker]), rng=timing_rng)
-            delay = float(
-                config.straggler_injector.delays(iteration, num_workers, timing_rng)[
-                    worker
-                ]
-            )
-            if network_rng is not None:
-                comm = float(
-                    network.sample_transfer_times(gradient_bytes, (), network_rng)
-                )
-            else:
-                comm = network.transfer_time(gradient_bytes)
-            return compute + delay + comm
-
-        def start_worker(worker: int, now: float) -> None:
-            snapshots[worker] = parameters.copy()
-            snapshot_versions[worker] = updates
-            duration = step_duration(worker, int(clocks[worker]))
-            if np.isfinite(duration):
-                heapq.heappush(heap, (now + duration, worker))
-            # Workers with infinite duration (failed) simply never report.
-
-        for worker in range(num_workers):
-            start_worker(worker, 0.0)
-
-        total_updates_target = config.num_iterations * num_workers
-        current_time = 0.0
-        round_start_time = 0.0
-        round_index = 0
-        last_loss = evaluate_mean_loss(
-            model, partitioned, config.loss_eval_samples, eval_rng
-        )
-
-        while updates < total_updates_target and heap:
-            completion_time, worker = heapq.heappop(heap)
-            current_time = completion_time
-
-            # Master applies the (stale) update from this worker.
-            model.set_parameters(snapshots[worker])
-            features, labels = shard_data[worker]
-            if self.batch_size is not None and self.batch_size < features.shape[0]:
-                batch = batch_rng.choice(
-                    features.shape[0], size=self.batch_size, replace=False
-                )
-                features, labels = features[batch], labels[batch]
-            _, shard_grad = model.loss_and_gradient(features, labels)
-            mean_grad = shard_grad / max(features.shape[0], 1)
-            if self.adaptive_learning_rate:
-                # DynSSP-style damping: the older the snapshot this gradient
-                # was computed against, the smaller the step it takes.
-                gradient_staleness = int(updates - snapshot_versions[worker])
-                mean_grad = mean_grad / (1.0 + gradient_staleness)
-            parameters = optimizer.step(parameters, mean_grad)
-            model.set_parameters(parameters)
-            clocks[worker] += 1
-            updates += 1
-
-            # Unblock workers whose staleness condition is now satisfied.
-            min_clock = clocks.min()
-            for other in sorted(blocked):
-                if clocks[other] - min_clock <= self.staleness:
-                    blocked.discard(other)
-                    start_worker(other, current_time)
-
-            # Decide what this worker does next.
-            if clocks[worker] - clocks.min() > self.staleness:
-                blocked.add(worker)
-            else:
-                start_worker(worker, current_time)
-
-            # Emit one trace record per round of m updates.  As in the BSP
-            # protocols, the recorded loss is the one *before* this round's
-            # updates (``last_loss`` was evaluated at the round boundary), so
-            # curves from different protocols are directly comparable.
-            if updates % num_workers == 0:
-                trace.append(
-                    IterationRecord(
-                        iteration=round_index,
-                        duration=current_time - round_start_time,
-                        train_loss=last_loss,
-                        compute_times=tuple(np.zeros(num_workers)),
-                        completion_times=tuple(np.zeros(num_workers)),
-                        workers_used=tuple(range(num_workers)),
-                        used_group=None,
-                    )
-                )
-                round_start_time = current_time
-                round_index += 1
-                if round_index % config.record_loss_every == 0:
-                    last_loss = evaluate_mean_loss(
-                        model, partitioned, config.loss_eval_samples, eval_rng
-                    )
-
-        if updates < total_updates_target and not heap:
-            # Every runnable worker is blocked (or failed): the run stalls.
-            trace.append(
-                IterationRecord(
-                    iteration=round_index,
-                    duration=float("inf"),
-                    train_loss=last_loss,
-                    compute_times=tuple(np.zeros(num_workers)),
-                    completion_times=tuple(np.zeros(num_workers)),
-                    workers_used=(),
-                    used_group=None,
-                )
-            )
-        return trace
-
-    # ------------------------------------------------------------------
-    # the batched (rng_version=2) path
+    # the batched path
     # ------------------------------------------------------------------
     def _draw_step_durations(
         self,
@@ -917,15 +736,12 @@ class SSPProtocol(TrainingProtocol):
         shards: list[list[int]],
         shard_sizes: np.ndarray,
     ) -> RunTrace:
-        """The ``rng_version=2`` replay of one run of :meth:`run_stacked`:
-        pre-drawn mini-batches, in-place optimiser updates and a columnar
-        trace over the ``schedule`` the stacked scan resolved (whole-matrix
-        timing draws, heap-free).  Statistically equivalent to
-        :meth:`run_per_event` at matched seeds (same marginal duration and
-        staleness distributions, different stream layout), several times
-        faster — only the inherently sequential gradient replay remains
-        per-update Python.  The timing streams were consumed by the scan
-        and are not touched here.
+        """The replay of one run of :meth:`run_stacked`: pre-drawn
+        mini-batches, in-place optimiser updates and a columnar trace over
+        the ``schedule`` the stacked scan resolved (whole-matrix timing
+        draws, heap-free).  Only the inherently sequential gradient replay
+        remains per-update Python.  The timing streams were consumed by the
+        scan and are not touched here.
         """
         eval_rng = config.make_rng()
         batch_rng = config.make_rng(stream_offset=208_003)

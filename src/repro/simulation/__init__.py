@@ -25,15 +25,7 @@ from .stragglers import (
     TransientSlowdown,
 )
 from .rng import RNG_COMPONENTS, RNG_VERSIONS, RngStreams, component_seed_sequences
-from .timing import (
-    IterationTiming,
-    WorkerTiming,
-    decodable_completion_order,
-    simulate_iteration,
-    simulate_worker_timing_arrays,
-    simulate_worker_timings,
-    worker_workloads,
-)
+from .timing import worker_workloads
 from .trace import IterationRecord, RunTrace, TraceColumns, UnknownTraceFieldWarning
 from .vectorized import (
     StackedRun,
@@ -67,14 +59,8 @@ __all__ = [
     "OverlappedNetwork",
     "LogNormalNetwork",
     # timing
-    "WorkerTiming",
-    "IterationTiming",
     "worker_workloads",
-    "simulate_worker_timings",
-    "simulate_worker_timing_arrays",
     "simulate_worker_timing_arrays_stacked",
-    "simulate_iteration",
-    "decodable_completion_order",
     "StackedRun",
     "TimingTraceKernel",
     "TimingTraceArrays",

@@ -134,10 +134,9 @@ class ClusterSpec:
         Returns shape ``(num_iterations, num_workers)``.  All lognormal
         jitter is drawn in a single generator call, so simulating a whole
         trace costs one RNG entry instead of one per iteration.  The draws
-        follow the same marginal distribution as ``num_iterations``
-        successive :meth:`compute_times` calls but consume the stream in a
-        different order — this is the ``rng_version=2`` layout, not a
-        bit-identical replacement for the per-iteration path.
+        fill the matrix row by row, so they consume ``rng`` exactly as
+        ``num_iterations`` successive :meth:`compute_times` calls would and
+        are bit-identical to them.
         """
         if num_iterations <= 0:
             raise ClusterError("num_iterations must be positive")

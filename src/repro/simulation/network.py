@@ -13,10 +13,10 @@ Deterministic models (every builtin before PR 4) return one scalar per
 payload size.  *Stochastic* models (``is_stochastic = True``, e.g.
 :class:`LogNormalNetwork`) additionally sample per-message transfer times
 via :meth:`CommunicationModel.sample_transfer_times`; they draw from the
-dedicated ``network`` child stream of the ``rng_version=2`` layout (see
-:mod:`repro.simulation.rng`) and therefore require ``rng_version=2`` — the
-v1 single-stream contract has no slot for network draws without breaking
-bit-reproducibility of historical traces.
+dedicated ``network`` child stream of a run's per-component streams (see
+:mod:`repro.simulation.rng`).  The historical single-stream layout, kept as
+the oracle in :mod:`repro._reference`, has no slot for network draws and
+refuses them.
 """
 
 from __future__ import annotations
@@ -52,8 +52,7 @@ class CommunicationModel(ABC):
         """Seconds to transfer a payload of ``gradient_bytes`` bytes.
 
         For stochastic models this is the *typical* (median) transfer time,
-        used for reporting and by code paths that cannot consume a network
-        RNG stream (v1 timing, the per-iteration training protocols).
+        used for reporting.
         """
 
     def sample_transfer_times(
@@ -66,7 +65,7 @@ class CommunicationModel(ABC):
 
         The deterministic default broadcasts :meth:`transfer_time` and
         consumes no randomness; stochastic models override it with batched
-        draws from ``rng`` (the ``rng_version=2`` ``network`` child stream).
+        draws from ``rng`` (a run's ``network`` child stream).
         """
         return np.full(shape, self.transfer_time(gradient_bytes))
 
@@ -209,10 +208,10 @@ class LogNormalNetwork(CommunicationModel):
         comm_time = latency + gradient_bytes / bandwidth
 
     so the *medians* match :class:`SimpleNetwork` with the same parameters.
-    Sampling consumes the dedicated ``network`` child stream of the
-    ``rng_version=2`` layout — this is the first model to exercise it — and
-    consequently requires ``rng_version=2``; the v1 timing path raises a
-    clear error rather than silently collapsing to the median.
+    Sampling consumes the dedicated ``network`` child stream of a run's
+    per-component streams — this is the first model to exercise it; the
+    single-stream oracle in :mod:`repro._reference` raises a clear error
+    rather than silently collapsing to the median.
 
     Attributes
     ----------

@@ -1,12 +1,12 @@
-"""Per-component RNG streams (``rng_version=2``).
+"""Per-component RNG streams (``rng_version=2``, the one layout the engine runs).
 
-Under ``rng_version=1`` (the historical behaviour) every source of
-randomness in a timing run — the straggler injector's worker choice and the
-per-worker compute jitter — interleaves on a *single* generator, one
-injector draw then one jitter draw per iteration.  That stream layout is
-what makes v1 traces bit-reproducible, but it also forces the timing kernel
-back into Python once per iteration: neither component can draw ahead
-without consuming numbers the other one expects.
+Under the historical ``rng_version=1`` layout every source of randomness in
+a timing run — the straggler injector's worker choice and the per-worker
+compute jitter — interleaved on a *single* generator, one injector draw
+then one jitter draw per iteration.  That forced the timing kernel back
+into Python once per iteration: neither component can draw ahead without
+consuming numbers the other one expects.  The layout survives only as the
+golden oracle in :mod:`repro._reference`.
 
 ``rng_version=2`` assigns every component its own child stream, spawned
 deterministically from the run seed via :class:`numpy.random.SeedSequence`.
@@ -22,10 +22,11 @@ and the whole trace runs without re-entering Python per iteration (see
 :meth:`repro.simulation.vectorized.TimingTraceKernel.run_stacked`).
 
 v2 traces are *statistically* equivalent to v1 traces at matched seeds
-(identical marginal distributions; asserted property-style in
-``tests/experiments/test_rng_versions.py``) but not bit-identical — which
-is exactly why the version lives on :class:`repro.api.spec.RunSpec` instead
-of silently changing the default.
+(identical marginal distributions; asserted property-style against the
+oracle in ``tests/experiments/test_rng_versions.py``) but not
+bit-identical — which is why the version lives on
+:class:`repro.api.spec.RunSpec`, and why the engine refuses a v1 spec
+instead of silently running it under v2.
 """
 
 from __future__ import annotations
@@ -46,7 +47,8 @@ __all__ = [
 #: ``i`` of ``SeedSequence(seed)``, so adding new components must append.
 RNG_COMPONENTS: tuple[str, ...] = ("injector", "jitter", "network", "training")
 
-#: RunSpec-level RNG stream layouts understood by the engine's execution modes.
+#: RunSpec-level RNG stream layouts a spec may name: the engine runs 2, and
+#: 1 is reproduced by the oracle in :mod:`repro._reference`.
 RNG_VERSIONS: tuple[int, ...] = (1, 2)
 
 
@@ -57,7 +59,7 @@ def component_seed_sequences(
     per component in :data:`RNG_COMPONENTS` from ``seed``.
 
     ``seed=None`` draws fresh OS entropy (a non-reproducible run, matching
-    ``default_rng(None)`` semantics under v1).
+    ``default_rng(None)`` semantics).
     """
     root = np.random.SeedSequence(seed)
     children = root.spawn(len(RNG_COMPONENTS))

@@ -1,18 +1,16 @@
 """Trace containers: column-oriented run traces with a record-view facade.
 
-Protocols append an :class:`IterationRecord` per step; experiments and
-metrics consume the resulting :class:`RunTrace`.  Keeping raw per-iteration
-data (rather than pre-aggregated statistics) lets the metrics layer compute
-everything the paper reports — average time per iteration (Figs. 2-3), loss
-versus wall-clock time (Fig. 4) and resource usage (Fig. 5) — from the same
-run.
+Protocols and the timing kernel produce a :class:`RunTrace` per run;
+experiments and metrics consume it.  Keeping raw per-iteration data (rather
+than pre-aggregated statistics) lets the metrics layer compute everything
+the paper reports — average time per iteration (Figs. 2-3), loss versus
+wall-clock time (Fig. 4) and resource usage (Fig. 5) — from the same run.
 
-Since PR 4 the storage is **column-oriented**: a :class:`RunTrace` holds one
-:class:`TraceColumns` block (numpy arrays, one column per recorded quantity)
-plus a small tail of freshly appended records.  The batched simulation
-kernels feed whole traces in via :meth:`RunTrace.from_arrays` without ever
-constructing a per-iteration Python object, and the metrics layer reads the
-columns directly.  :attr:`RunTrace.records` survives as a *lazily
+The storage is **column-oriented**: a :class:`RunTrace` holds one immutable
+:class:`TraceColumns` block (numpy arrays, one column per recorded
+quantity).  The batched simulation kernels feed whole traces in via
+:meth:`RunTrace.from_arrays` without ever constructing a per-iteration
+Python object, and the metrics layer reads the columns directly.  :attr:`RunTrace.records` survives as a *lazily
 materialized* compatibility view — nothing is paid for it unless somebody
 actually iterates records.  Serialization (`to_dict`/`from_dict`) is
 unchanged and byte-identical to the record-based layout.
@@ -530,15 +528,8 @@ class TraceColumns:
 
     @classmethod
     def empty(cls) -> "TraceColumns":
-        return cls(
-            iterations=_readonly(np.zeros(0, dtype=np.int64)),
-            durations=_readonly(np.zeros(0)),
-            train_losses=_readonly(np.zeros(0)),
-            compute_times=_readonly(np.zeros((0, 0))),
-            completion_times=_readonly(np.zeros((0, 0))),
-            workers_used=(),
-            used_groups=(),
-        )
+        """The zero-iteration block (one shared, immutable instance)."""
+        return _EMPTY_COLUMNS
 
     @classmethod
     def from_records(cls, records: "list[IterationRecord]") -> "TraceColumns":
@@ -571,27 +562,6 @@ class TraceColumns:
             ),
             workers_used=tuple(r.workers_used for r in records),
             used_groups=tuple(r.used_group for r in records),
-        )
-
-    @classmethod
-    def concatenate(cls, blocks: "list[TraceColumns]") -> "TraceColumns":
-        blocks = [b for b in blocks if b.num_iterations]
-        if not blocks:
-            return cls.empty()
-        if len(blocks) == 1:
-            return blocks[0]
-        return cls(
-            iterations=_readonly(np.concatenate([b.iterations for b in blocks])),
-            durations=_readonly(np.concatenate([b.durations for b in blocks])),
-            train_losses=_readonly(np.concatenate([b.train_losses for b in blocks])),
-            compute_times=_readonly(
-                np.concatenate([b.compute_times for b in blocks])
-            ),
-            completion_times=_readonly(
-                np.concatenate([b.completion_times for b in blocks])
-            ),
-            workers_used=RaggedColumn.concatenate([b.workers_used for b in blocks]),
-            used_groups=RaggedColumn.concatenate([b.used_groups for b in blocks]),
         )
 
     def pack(self, writer: BytesWriter) -> dict:
@@ -709,8 +679,20 @@ class TraceColumns:
         ]
 
 
+#: Every empty block is this one; its arrays are read-only.
+_EMPTY_COLUMNS = TraceColumns(
+    iterations=_readonly(np.zeros(0, dtype=np.int64)),
+    durations=_readonly(np.zeros(0)),
+    train_losses=_readonly(np.zeros(0)),
+    compute_times=_readonly(np.zeros((0, 0))),
+    completion_times=_readonly(np.zeros((0, 0))),
+    workers_used=(),
+    used_groups=(),
+)
+
+
 class RunTrace:
-    """The full record of one training run, stored column-first.
+    """The full record of one training run: one immutable columnar block.
 
     Attributes
     ----------
@@ -725,16 +707,17 @@ class RunTrace:
         code should prefer :meth:`columns` / the array properties.
     metadata:
         Free-form run parameters (model, dataset, s, k, seed, ...).
+
+    A trace is built whole — from records (the constructor), from kernel
+    arrays (:meth:`from_arrays`) or from a stored block
+    (:meth:`from_columns`) — and never grows afterwards.
     """
 
     __slots__ = (
         "scheme",
         "cluster_name",
         "metadata",
-        "_base",
-        "_tail",
-        "_last_iteration",
-        "_columns_cache",
+        "_columns",
         "_records_cache",
         "_elapsed_cache",
     )
@@ -749,14 +732,19 @@ class RunTrace:
         self.scheme = scheme
         self.cluster_name = cluster_name
         self.metadata = {} if metadata is None else metadata
-        self._base: TraceColumns | None = None
-        self._tail: list[IterationRecord] = []
-        self._last_iteration: int | None = None
-        self._columns_cache: TraceColumns | None = None
+        self._columns = TraceColumns.empty()
+        if records:
+            self._columns = TraceColumns.from_records(list(records))
+            iterations = self._columns.iterations
+            backwards = np.flatnonzero(iterations[1:] <= iterations[:-1])
+            if backwards.size:
+                raise TraceError(
+                    "iteration records must be in increasing order: "
+                    f"{iterations[backwards[0] + 1]} after "
+                    f"{iterations[backwards[0]]}"
+                )
         self._records_cache: list[IterationRecord] | None = None
         self._elapsed_cache: np.ndarray | None = None
-        if records:
-            self.extend(list(records))
 
     def __repr__(self) -> str:
         return (
@@ -768,7 +756,7 @@ class RunTrace:
         # Structural equality over the same fields the former dataclass
         # compared (scheme, cluster_name, records, metadata) — round-trip
         # assertions like `RunTrace.from_dict(t.to_dict()) == t` keep
-        # working regardless of columnar-vs-record storage.
+        # working regardless of how either trace was built.
         if not isinstance(other, RunTrace):
             return NotImplemented
         return (
@@ -831,11 +819,7 @@ class RunTrace:
             workers_used=arrays.workers_used,
             used_groups=arrays.used_groups,
         )
-        trace = cls(scheme=scheme, cluster_name=cluster_name, metadata=metadata)
-        trace._base = columns
-        trace._columns_cache = columns
-        trace._last_iteration = start_iteration + n - 1 if n else None
-        return trace
+        return cls.from_columns(scheme, cluster_name, columns, metadata=metadata)
 
     @classmethod
     def from_columns(
@@ -854,65 +838,15 @@ class RunTrace:
         source carried.
         """
         trace = cls(scheme=scheme, cluster_name=cluster_name, metadata=metadata)
-        trace._base = columns
-        trace._columns_cache = columns
-        n = columns.num_iterations
-        trace._last_iteration = int(columns.iterations[-1]) if n else None
+        trace._columns = columns
         return trace
-
-    # ------------------------------------------------------------------
-    # mutation
-    # ------------------------------------------------------------------
-    def _invalidate(self) -> None:
-        self._columns_cache = None
-        self._records_cache = None
-        self._elapsed_cache = None
-
-    def append(self, record: IterationRecord) -> None:
-        """Append an iteration record (iterations must arrive in order)."""
-        if self._last_iteration is not None and (
-            record.iteration <= self._last_iteration
-        ):
-            raise TraceError(
-                "iteration records must be appended in increasing order: "
-                f"{record.iteration} after {self._last_iteration}"
-            )
-        self._tail.append(record)
-        self._last_iteration = record.iteration
-        self._invalidate()
-
-    def extend(self, records: "list[IterationRecord]") -> None:
-        """Append many records; the ordering invariant is checked once."""
-        if not records:
-            return
-        previous = self._last_iteration
-        for record in records:
-            if previous is not None and record.iteration <= previous:
-                raise TraceError(
-                    "iteration records must be appended in increasing order: "
-                    f"{record.iteration} after {previous}"
-                )
-            previous = record.iteration
-        self._tail.extend(records)
-        self._last_iteration = previous
-        self._invalidate()
 
     # ------------------------------------------------------------------
     # columnar accessors (the fast path)
     # ------------------------------------------------------------------
     def columns(self) -> TraceColumns:
-        """The whole run as one columnar block (cached until mutation)."""
-        cached = self._columns_cache
-        if cached is not None:
-            return cached
-        blocks: list[TraceColumns] = []
-        if self._base is not None:
-            blocks.append(self._base)
-        if self._tail:
-            blocks.append(TraceColumns.from_records(self._tail))
-        columns = TraceColumns.concatenate(blocks)
-        self._columns_cache = columns
-        return columns
+        """The whole run as one columnar block."""
+        return self._columns
 
     @property
     def records(self) -> "list[IterationRecord]":
@@ -920,13 +854,11 @@ class RunTrace:
 
         The record objects are materialized once and cached; every access
         returns a fresh list shell over them, so mutating the returned list
-        neither modifies the trace nor poisons later reads — use
-        :meth:`append`/:meth:`extend` to grow a trace.
+        never modifies the trace.
         """
         cached = self._records_cache
         if cached is None:
-            base = [] if self._base is None else self._base.materialize_records()
-            cached = base + list(self._tail)
+            cached = self._columns.materialize_records()
             self._records_cache = cached
         return list(cached)
 
@@ -935,8 +867,7 @@ class RunTrace:
     # ------------------------------------------------------------------
     @property
     def num_iterations(self) -> int:
-        base = 0 if self._base is None else self._base.num_iterations
-        return base + len(self._tail)
+        return self._columns.num_iterations
 
     @property
     def durations(self) -> np.ndarray:
@@ -1005,15 +936,14 @@ class RunTrace:
         _warn_unknown_keys(
             data, {"scheme", "cluster_name", "metadata", "records"}, "RunTrace dict"
         )
-        trace = cls(
+        return cls(
             scheme=str(data["scheme"]),
             cluster_name=str(data["cluster_name"]),
+            records=[
+                IterationRecord.from_dict(record) for record in data.get("records", ())
+            ],
             metadata=dict(data.get("metadata", {})),
         )
-        trace.extend(
-            [IterationRecord.from_dict(record) for record in data.get("records", ())]
-        )
-        return trace
 
     def summary(self) -> dict:
         """Aggregate statistics for quick textual reports."""

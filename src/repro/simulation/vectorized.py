@@ -1,36 +1,26 @@
 """Trace-scale vectorized timing kernel.
 
-:func:`repro.simulation.simulate_iteration` is convenient but pays avoidable
-per-iteration costs when thousands of iterations are simulated back to back:
-it revalidates its inputs, rebuilds the workload vector, re-queries the
-network model and materialises per-worker :class:`WorkerTiming` objects every
-step.  :class:`TimingTraceKernel` hoists everything that is constant across
-iterations (base compute times, jitter mask, communication times, the
-decoder) out of the loop and draws the per-iteration randomness in single
-batched calls.  The decodable-prefix decision depends only on the completion
-*order*, so it is memoised per order; every entry point orders the whole
-trace (or stack) with one argsort and decides all orders the memo has not
-seen in one :meth:`~repro.coding.decoding.Decoder
-.earliest_decodable_prefix_batched` call, which steps them together one
-worker position at a time.  Each iteration then carries one code into the
-kernel's table of distinct decisions, and the ``workers_used`` and
-``used_groups`` trace columns are one gather over that table per run.
+:class:`TimingTraceKernel` simulates whole traces of one (strategy,
+cluster) pair.  It builds what every run shares (the per-worker workloads
+and the decoder) once, and every run draws *all* iterations of its
+injector delays, jitter and (stochastic) transfer times in single batched
+calls from its own per-component generators (see
+:mod:`repro.simulation.rng`), so a trace runs without re-entering Python
+per iteration.  One or more independent
+runs are simulated together by :meth:`TimingTraceKernel.run_stacked`; a
+single run is a 1-run stack.
 
-Two RNG stream layouts are supported:
+The decodable-prefix decision depends only on the completion *order*, so
+it is memoised per order; the kernel orders the whole stack with one
+argsort and decides all orders the memo has not seen in one
+:meth:`~repro.coding.decoding.Decoder.earliest_decodable_prefix_batched`
+call, which steps them together one worker position at a time.  Each
+iteration then carries one code into the kernel's table of distinct
+decisions, and the ``workers_used`` and ``used_groups`` trace columns are
+one gather over that table per run.
 
-* :meth:`TimingTraceKernel.run` (``rng_version=1``) consumes a single
-  generator in exactly the same sequence as the per-iteration path
-  (injector draw first, then one batched jitter draw per iteration), so a
-  kernel run is bit-identical to ``num_iterations`` successive
-  ``simulate_iteration`` calls with a shared generator.  The equivalence is
-  asserted property-style in ``tests/simulation/test_vectorized.py``.
-* :meth:`TimingTraceKernel.run_stacked` (``rng_version=2``) simulates one
-  or more independent runs, each with its own per-component generators
-  (see :mod:`repro.simulation.rng`): every run draws *all* iterations of
-  injector delays and jitter in single batched calls, so the whole trace
-  runs without re-entering Python per iteration.  A single run is a 1-run
-  stack.  Traces are statistically equivalent to v1 at matched seeds but
-  not bit-identical.
+The per-iteration scalar timing path that the batched draws are pinned
+against lives in :mod:`repro._reference`.
 
 :class:`TimingKernelCache` keys kernels on (strategy fingerprint, cluster
 fingerprint, workload, network) so sweep-style experiments that vary only
@@ -120,10 +110,11 @@ class StackedRun:
 
     A stack simulates many *independent* runs in one kernel call; what can
     vary between them is captured here.  Every run owns its generators
-    (spawned from its own seed via the ``rng_version=2`` component streams)
-    and its injector, so each slice of the stacked output is bit-identical
-    to the 1-run stack of that run alone.  ``network_rng`` is required when
-    the network model is stochastic.
+    (spawned from its own seed via the per-component streams of
+    :class:`~repro.simulation.rng.RngStreams`) and its injector, so each
+    slice of the stacked output is bit-identical to the 1-run stack of that
+    run alone.  ``network_rng`` is required when the network model is
+    stochastic.
 
     ``injector``/``cluster`` default to the kernel- or call-level one; a
     per-run cluster must have the same worker count (sweeps over seeds build
@@ -148,15 +139,14 @@ def simulate_worker_timing_arrays_stacked(
     gradient_bytes: float = 0.0,
     network: CommunicationModel | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Run-stacked whole-trace form of :func:`~repro.simulation.timing
-    .simulate_worker_timing_arrays`.
+    """Per-worker timing blocks of whole traces, for a stack of runs.
 
     Returns ``(compute_times, injected_delays, comm_times)`` with shapes
     ``(runs, n, m)``, ``(runs, n, m)`` and ``(m,)`` — or ``(runs, n, m)``
     for the comm times too when the network model is stochastic; row ``i``
     describes iteration ``start_iteration + i``.  Injector, jitter and
     network randomness come from each run's *separate* generators (the
-    ``rng_version=2`` per-component layout): run ``r`` draws all of its
+    per-component stream layout): run ``r`` draws all of its
     delays in one :meth:`~repro.simulation.stragglers.StragglerInjector
     .delays_batch` call, all of its jitter in one
     :meth:`~repro.simulation.cluster.ClusterSpec.compute_times_batch` call
@@ -165,6 +155,9 @@ def simulate_worker_timing_arrays_stacked(
     .sample_transfer_times` call.  Runs are independent, so their draws
     never merge: slice ``r`` depends on ``runs[r]`` alone.  A 1-run stack
     returns its run's blocks as ``(1, n, m)`` views, without a copy.
+    Each block equals the per-iteration scalar draws of
+    :func:`repro._reference.simulate_worker_timings_reference` taken from
+    the same component stream.
     """
     if num_iterations <= 0:
         raise TimingError("num_iterations must be positive")
@@ -240,7 +233,8 @@ class TimingTraceKernel:
     Parameters
     ----------
     strategy, cluster, samples_per_partition:
-        As in :func:`repro.simulation.simulate_iteration`.
+        The coding strategy, the cluster it runs on and the size of each
+        data partition ``|D_j|`` in samples.
     decoder:
         Optional pre-built decoder to share straggler-pattern caches with.
     injector, network, gradient_bytes:
@@ -271,26 +265,7 @@ class TimingTraceKernel:
 
         workloads = worker_workloads(strategy, samples_per_partition)
         self.workloads = workloads
-        # Everything below is constant across iterations and hoisted here.
-        self._base_compute = workloads / cluster._true_throughput_array
-        noise = cluster._compute_noise_array
-        self._jitter_mask = (noise > 0.0) & (workloads > 0.0)
-        self._jitter_sigma = noise[self._jitter_mask]
-        self._jitter_count = int(self._jitter_mask.sum())
-        self._any_jitter = self._jitter_count > 0
-        self._all_jitter = self._jitter_count == self.num_workers
-        # Scalar-sigma draws share the RNG stream with array-sigma draws but
-        # use the generator's fast fixed-parameter path.
-        self._uniform_sigma: float | None = None
-        if self._any_jitter and (self._jitter_sigma == self._jitter_sigma[0]).all():
-            self._uniform_sigma = float(self._jitter_sigma[0])
         self.gradient_bytes = float(gradient_bytes)
-        # Deterministic models bake one scalar per worker; stochastic models
-        # (is_stochastic) keep the typical value here for v1-style callers
-        # and sample per-message times in run_stacked instead.
-        self._comm = np.where(
-            workloads > 0, self.network.transfer_time(gradient_bytes), 0.0
-        )
         # The decodable prefix depends only on the completion *order*; cache
         # the (prefix, decision code) pair per observed order so repeated
         # orderings across iterations cost one dict lookup.  Kernels can now
@@ -311,22 +286,6 @@ class TimingTraceKernel:
         # Serve's request threads share cached kernels; the memo and the
         # code tables must change together.
         self._lock = threading.Lock()
-
-    # ------------------------------------------------------------------
-    def _jittered_compute(self, rng: np.random.Generator) -> np.ndarray:
-        if not self._any_jitter:
-            return self._base_compute.copy()
-        if self._uniform_sigma is not None:
-            values = rng.lognormal(
-                mean=0.0, sigma=self._uniform_sigma, size=self._jitter_count
-            )
-        else:
-            values = rng.lognormal(mean=0.0, sigma=self._jitter_sigma)
-        if self._all_jitter:
-            return self._base_compute * values
-        jitter = np.ones(self.num_workers)
-        jitter[self._jitter_mask] = values
-        return self._base_compute * jitter
 
     # ------------------------------------------------------------------
     def _decide(
@@ -429,77 +388,15 @@ class TimingTraceKernel:
         return self._workers_table, self._groups_table
 
     # ------------------------------------------------------------------
-    def run(
-        self,
-        num_iterations: int,
-        rng: np.random.Generator | int | None = None,
-        start_iteration: int = 0,
-        injector: StragglerInjector | None = None,
-    ) -> TimingTraceArrays:
-        """Simulate ``num_iterations`` iterations and return stacked arrays.
-
-        ``injector`` overrides the constructor-time injector for this run
-        (used by the kernel cache to reuse one kernel across sweep points
-        that differ only in their straggler model).
-        """
-        if num_iterations <= 0:
-            raise TimingError("num_iterations must be positive")
-        if self.network.is_stochastic:
-            raise TimingError(
-                f"{type(self.network).__name__} samples per-message transfer "
-                "times and requires the rng_version=2 stacked path "
-                "(run_stacked with a network_rng per run); the v1 stream "
-                "layout has no slot for network draws"
-            )
-        generator = np.random.default_rng(rng)
-        m = self.num_workers
-        compute_times = np.empty((num_iterations, m))
-        completion_times = np.empty((num_iterations, m))
-        injector_delays = (injector or self.injector).delays
-        comm = self._comm
-        base = self._base_compute
-        uniform_sigma = self._uniform_sigma if self._all_jitter else None
-        lognormal = generator.lognormal
-        for step in range(num_iterations):
-            delays = np.asarray(
-                injector_delays(start_iteration + step, m, generator),
-                dtype=np.float64,
-            )
-            if delays.shape != (m,):
-                raise TimingError(
-                    "straggler injector returned the wrong number of delays"
-                )
-            compute = compute_times[step]
-            if uniform_sigma is not None:
-                np.multiply(base, lognormal(0.0, uniform_sigma, m), out=compute)
-            else:
-                compute[:] = self._jittered_compute(generator)
-            completion = completion_times[step]
-            np.add(compute, delays, out=completion)
-            completion += comm
-        # Decode decisions never feed the generator, so the whole trace is
-        # decided after the draws, in one batched call.
-        durations, codes, workers_table, groups_table = self._decide(
-            completion_times
-        )
-        return TimingTraceArrays(
-            durations=durations,
-            compute_times=compute_times,
-            completion_times=completion_times,
-            workers_used=workers_table.take(codes),
-            used_groups=groups_table.take(codes),
-        )
-
-    # ------------------------------------------------------------------
     def run_stacked(
         self,
         num_iterations: int,
         runs: Sequence[StackedRun],
         start_iteration: int = 0,
     ) -> list[TimingTraceArrays]:
-        """Simulate ``len(runs)`` independent runs (``rng_version=2``).
+        """Simulate ``len(runs)`` independent runs.
 
-        This is the one v2 timing path: a single run is a 1-run stack, and
+        This is the one timing path: a single run is a 1-run stack, and
         entry ``r`` of an ``R``-run stack is bit-identical to the 1-run stack
         of ``runs[r]`` (durations, completion times, worker sets —
         everything).  Each run draws its delays, jitter and (stochastic)

@@ -429,7 +429,7 @@ class TestIMP001:
             }
         )
         assert rule_ids(report) == ["IMP001", "IMP001"]
-        assert "frozen reference implementations" in report.findings[0].message
+        assert "rng_version=1 oracle" in report.findings[0].message
 
     def test_from_package_import_spelling_flagged(self, lint_tree):
         """`from repro import _reference` must not slip past the rule."""
@@ -451,6 +451,31 @@ class TestIMP001:
             }
         )
         assert report.findings == []
+
+    def test_golden_report_may_import_reference(self, lint_tree):
+        """The golden report's v1 cells come from the oracle."""
+        report = lint_tree(
+            {
+                "repro/experiments/golden.py": """
+                from .._reference import run_spec_reference
+                """
+            }
+        )
+        assert report.findings == []
+
+    def test_other_experiment_modules_may_not(self, lint_tree):
+        """Only golden.py is exempt, not its package or a same-named file."""
+        report = lint_tree(
+            {
+                "repro/experiments/fig2.py": """
+                from .._reference import run_spec_reference
+                """,
+                "repro/other/golden.py": """
+                from repro._reference import run_spec_reference
+                """,
+            }
+        )
+        assert rule_ids(report) == ["IMP001", "IMP001"]
 
 
 class TestSuppression:

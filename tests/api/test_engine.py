@@ -1,9 +1,10 @@
-"""Engine: dispatch, validation errors, sweep/compare, legacy equivalence.
+"""Engine: dispatch, validation errors, sweep/compare, direct-call equivalence.
 
-The equivalence tests are the contract of the API redesign: running a spec
-through ``Engine`` must reproduce the legacy ``measure_timing_trace`` /
-``run_scheme`` outputs seed-for-seed, because the figure experiments now
-route through the engine.
+The equivalence tests are the contract of the API: running a spec through
+``Engine`` must reproduce the direct ``measure_timing_trace`` /
+``run_scheme`` outputs seed-for-seed, because the figure experiments route
+through the engine.  The ``rng_version=1`` comparisons run against the
+oracle in ``repro._reference``, the only place that layout still runs.
 """
 
 from __future__ import annotations
@@ -11,10 +12,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro._reference import run_spec_reference
 from repro.api import (
     RUN_MODES,
+    CachedExecutor,
     Engine,
     EngineError,
+    RngVersionError,
     RunSpec,
     SpecError,
     StragglerSpec,
@@ -27,6 +31,7 @@ from repro.learning.optimizers import SGD
 from repro.protocols.base import TrainingConfig
 from repro.protocols.runner import run_scheme
 from repro.simulation.network import SimpleNetwork
+from repro.simulation.rng import RngStreams
 from repro.simulation.stragglers import ArtificialDelay, TransientSlowdown
 
 
@@ -150,7 +155,8 @@ class TestTimingEquivalence:
 
 
 class TestRngVersionAndKernelCache:
-    """rng_version dispatch and the process-wide timing-kernel cache."""
+    """The v2 layout against the v1 oracle, and the process-wide
+    timing-kernel cache."""
 
     def test_v2_timing_run_is_deterministic(self):
         spec = RunSpec(num_iterations=10, total_samples=1024, rng_version=2, seed=5)
@@ -161,30 +167,42 @@ class TestRngVersionAndKernelCache:
 
     def test_v2_differs_from_v1_but_is_statistically_close(self):
         base = RunSpec(num_iterations=400, total_samples=1024, seed=5)
-        v1 = Engine().run(base)
-        v2 = Engine().run(base.replace(rng_version=2))
+        v1 = run_spec_reference(base.replace(rng_version=1))
+        v2 = Engine().run(base)
         assert not np.array_equal(v1.trace.durations, v2.trace.durations)
         assert v2.mean_iteration_time == pytest.approx(
             v1.mean_iteration_time, rel=0.1
         )
 
     def test_v1_results_do_not_carry_rng_version_metadata(self):
-        result = Engine().run(RunSpec(num_iterations=3, total_samples=512))
+        result = run_spec_reference(
+            RunSpec(num_iterations=3, total_samples=512, rng_version=1)
+        )
         assert "rng_version" not in result.trace.metadata
 
-    def test_sweep_reuses_kernels_across_delay_values(self):
+    def test_runs_reuse_kernels_across_delay_values(self):
         Engine.clear_timing_kernel_cache()
         cache = Engine.timing_kernel_cache()
         engine = Engine()
-        spec = RunSpec(
-            num_iterations=4,
-            total_samples=1024,
-            straggler=StragglerSpec(
-                "artificial_delay", {"num_stragglers": 1, "delay_seconds": 1.0}
-            ),
-            seed=0,
-        )
-        engine.sweep(
+        spec = RunSpec(num_iterations=4, total_samples=1024, seed=0)
+        for delay in (0.5, 1.0, 2.0, 4.0):
+            engine.run(
+                spec.replace(
+                    straggler=StragglerSpec(
+                        "artificial_delay",
+                        {"num_stragglers": 1, "delay_seconds": delay},
+                    )
+                )
+            )
+        # One kernel build for the first delay value, cache hits after.
+        assert cache.misses == 1
+        assert cache.hits == 3
+
+    def test_sweep_over_delay_values_is_one_kernel_call(self):
+        Engine.clear_timing_kernel_cache()
+        cache = Engine.timing_kernel_cache()
+        spec = RunSpec(num_iterations=4, total_samples=1024, seed=0)
+        Engine().sweep(
             spec,
             straggler=[
                 StragglerSpec(
@@ -194,9 +212,8 @@ class TestRngVersionAndKernelCache:
                 for delay in (0.5, 1.0, 2.0, 4.0)
             ],
         )
-        # One kernel build for the first delay value, cache hits after.
-        assert cache.misses == 1
-        assert cache.hits == 3
+        # The delays share one strategy, so the planner stacks all four.
+        assert (cache.misses, cache.hits) == (1, 0)
 
     def test_cached_runs_bit_identical_to_cold_cache(self):
         spec = RunSpec(num_iterations=6, total_samples=1024, seed=9)
@@ -236,11 +253,65 @@ class TestRngVersionAndKernelCache:
             total_samples=256,
             seed=2,
         )
-        v1 = Engine().run(base)
-        v2 = Engine().run(base.replace(rng_version=2))
+        v1 = run_spec_reference(base.replace(rng_version=1))
+        v2 = Engine().run(base)
         assert v2.trace.num_iterations == 3
         assert np.isfinite(v2.final_loss)
         assert not np.array_equal(v1.trace.durations, v2.trace.durations)
+
+
+class TestRngVersionOneRejected:
+    """The engine runs rng_version=2 only; a v1 spec fails before any work."""
+
+    V1 = RunSpec(num_iterations=3, total_samples=512, seed=1, rng_version=1)
+
+    def test_error_is_an_engine_error_naming_the_oracle(self):
+        assert issubclass(RngVersionError, EngineError)
+        with pytest.raises(RngVersionError, match=r"repro\._reference"):
+            Engine().run(self.V1)
+
+    def test_training_mode_rejected_too(self):
+        with pytest.raises(RngVersionError):
+            Engine().run(self.V1.replace(mode="training", scheme="ssp"))
+
+    @pytest.mark.parametrize("executor", [None, "process"])
+    def test_run_many_rejects_before_running_anything(self, executor):
+        Engine.clear_timing_kernel_cache()
+        with pytest.raises(RngVersionError):
+            Engine().run_many(
+                [self.V1.replace(rng_version=2), self.V1], executor=executor
+            )
+        # The valid spec ahead of the v1 one never ran.
+        assert Engine.timing_kernel_cache().misses == 0
+
+    def test_sweep_rejects_before_any_build(self):
+        Engine.clear_timing_kernel_cache()
+        with pytest.raises(RngVersionError):
+            Engine().sweep(self.V1.replace(rng_version=2), rng_version=[2, 1])
+        cache = Engine.timing_kernel_cache()
+        assert cache.misses == 0
+        assert not cache._memos  # no strategy or cluster was built
+
+    def test_compare_rejects(self):
+        with pytest.raises(RngVersionError):
+            Engine().compare(self.V1, ["naive", "cyclic"])
+
+    @pytest.mark.parametrize("entry", ["run_many", "sweep", "compare"])
+    def test_cached_executor_writes_no_store_entry(self, tmp_path, entry):
+        from repro.store import FileRunStore
+
+        store = FileRunStore(tmp_path / "store")
+        cached = CachedExecutor(store=store)
+        engine = Engine()
+        with pytest.raises(RngVersionError):
+            if entry == "run_many":
+                engine.run_many([self.V1], executor=cached)
+            elif entry == "sweep":
+                engine.sweep(self.V1, executor=cached, seed=[1, 2])
+            else:
+                engine.compare(self.V1, ["naive", "cyclic"], executor=cached)
+        assert list(store.fingerprints()) == []
+        assert (cached.hits, cached.misses) == (0, 0)
 
 
 class TestTrainingEquivalence:
@@ -250,6 +321,9 @@ class TestTrainingEquivalence:
         preset = get_workload("blobs_softmax")
         cluster = build_cluster("Cluster-A", rng=seed)
         dataset = preset.make_dataset(256, seed=seed)
+        # The engine's stream layout: per-component streams from the run
+        # seed, and the integer config seed drawn from the training stream.
+        streams = RngStreams.from_seed(seed)
         config = TrainingConfig(
             num_iterations=4,
             num_stragglers=1,
@@ -258,8 +332,9 @@ class TestTrainingEquivalence:
                 probability=0.05, mean_delay_seconds=0.5
             ),
             network=SimpleNetwork(),
-            seed=seed,
+            seed=streams.training_seed(),
             loss_eval_samples=128,
+            rng_streams=streams,
         )
         legacy = run_scheme(
             scheme,

@@ -165,10 +165,15 @@ class TestBitIdentity:
 
     @pytest.mark.parametrize("case", EXECUTOR_CASES)
     def test_ragged_mixed_sweep(self, engine, timing_spec, tmp_path, case):
-        # Two schemes -> two stacked groups; rng_version=1 members join the
-        # un-stackable remainder, so group dispatch and the run_many
-        # fallback both execute under the same executor.
-        axes = {"scheme": ["naive", "cyclic"], "rng_version": [2, 1]}
+        # Two schemes -> two stacked timing groups; the coded-protocol
+        # training members, which the planner never stacks, join the
+        # remainder, so group dispatch and the run_many fallback both
+        # execute under the same executor.
+        axes = {
+            "scheme": ["naive", "cyclic"],
+            "seed": [3, 4],
+            "mode": ["timing", "training"],
+        }
         check_against_reference(
             case,
             tmp_path,
@@ -178,7 +183,7 @@ class TestBitIdentity:
 
     @pytest.mark.parametrize("case", EXECUTOR_CASES)
     def test_run_many(self, engine, timing_spec, tmp_path, case):
-        specs = [timing_spec, timing_spec.replace(seed=4, rng_version=1)]
+        specs = [timing_spec, timing_spec.replace(seed=4, scheme="cyclic")]
         check_against_reference(
             case,
             tmp_path,
@@ -221,10 +226,12 @@ class TestBitIdentity:
                 offered.append(list(specs))
                 return [engine.run(spec) for spec in specs]
 
-        axes = {"seed": [3, 4], "rng_version": [2, 1]}
+        axes = {"seed": [3, 4], "mode": ["timing", "training"]}
         results = engine.sweep(timing_spec, executor=SpecsOnly(), **axes)
         assert results_json(results) == results_json(engine.sweep(timing_spec, **axes))
-        assert [[spec.rng_version for spec in batch] for batch in offered] == [[1, 1]]
+        assert [[spec.mode for spec in batch] for batch in offered] == [
+            ["training", "training"]
+        ]
 
     @pytest.mark.parametrize("case", EXECUTOR_CASES)
     def test_compare(self, engine, timing_spec, tmp_path, case):
@@ -315,8 +322,6 @@ class TestCli:
         "512",
         "--delay",
         "1.0",
-        "--rng-version",
-        "2",
         "--json",
     ]
 

@@ -11,6 +11,7 @@ covers without bumping ``STORE_SCHEMA_VERSION`` fails here.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
@@ -22,6 +23,10 @@ import pytest
 from repro.api import RunSpec, StragglerSpec, fingerprint
 from repro.api.registry import CLUSTERS, SCHEMES, STRAGGLER_MODELS
 from repro.api.spec import STORE_SCHEMA_VERSION
+
+def _cluster_factory(name, vcpu_counts, **knobs):  # pragma: no cover - never built
+    raise AssertionError("fingerprinting must not build the cluster")
+
 
 #: sha256 of the ``spec`` fixture below at store schema 3.  Update it only
 #: together with a ``STORE_SCHEMA_VERSION`` bump: stores written by older
@@ -182,6 +187,30 @@ class TestSensitivity:
             for kind in kinds
         }
         assert len(stragglers) == len(kinds)
+
+    def test_partials_over_one_factory_have_distinct_identities(self, spec):
+        """``functools.partial`` builders have no ``__qualname__``; their
+        identity is the wrapped function's plus their bound arguments, so
+        swapping one partial for another under a name rekeys the spec."""
+        p1 = functools.partial(_cluster_factory, "p1", {2: 4})
+        p2 = functools.partial(_cluster_factory, "p2", {16: 4})
+        partial_spec = spec.replace(cluster="partial-cluster")
+        try:
+            CLUSTERS.add("partial-cluster", p1)
+            first = partial_spec.fingerprint()
+            first_identity = partial_spec._fingerprint_payload()["plugins"]["cluster"]
+            CLUSTERS.add("partial-cluster", p2, replace=True)
+            assert partial_spec.fingerprint() != first
+            # An equal partial keeps the identity, so stores stay warm.
+            CLUSTERS.add(
+                "partial-cluster",
+                functools.partial(_cluster_factory, "p1", {2: 4}),
+                replace=True,
+            )
+            assert partial_spec.fingerprint() == first
+        finally:
+            CLUSTERS.unregister("partial-cluster")
+        assert first_identity.startswith(f"{__name__}:_cluster_factory#partial:")
 
     def test_unknown_plugin_maps_to_none(self, spec):
         """Fingerprints stay computable before validation catches the name."""

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import json
 
 import pytest
 
@@ -41,8 +42,8 @@ class TestValidation:
         with pytest.raises(SpecError):
             RunSpec(**kwargs)
 
-    def test_rng_version_defaults_to_v1(self):
-        assert RunSpec().rng_version == 1
+    def test_rng_version_defaults_to_v2(self):
+        assert RunSpec().rng_version == 2
 
     def test_rng_version_accepts_both_layouts(self):
         assert RunSpec(rng_version=1).rng_version == 1
@@ -52,16 +53,27 @@ class TestValidation:
         with pytest.raises(SpecError, match=r"supported versions: \[1, 2\]"):
             RunSpec(rng_version=7)
 
-    def test_rng_version_round_trips_through_json(self):
-        spec = RunSpec(rng_version=2)
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_rng_version_round_trips_through_json(self, version):
+        spec = RunSpec(rng_version=version)
         assert RunSpec.from_json(spec.to_json()) == spec
-        assert spec.to_dict()["rng_version"] == 2
+        assert spec.to_dict()["rng_version"] == version
 
-    def test_pre_rng_version_payloads_still_load(self):
-        # Spec JSON written before the field existed defaults to v1.
+    def test_pre_rng_version_payloads_load_as_v1(self):
+        # Spec JSON written before the field existed was a v1 run; it must
+        # not silently take the v2 default.
         data = RunSpec().to_dict()
         del data["rng_version"]
         assert RunSpec.from_dict(data).rng_version == 1
+        assert RunSpec.from_json(json.dumps(data)).rng_version == 1
+
+    def test_engine_refuses_a_reloaded_pre_field_payload(self):
+        from repro.api import Engine, RngVersionError
+
+        data = RunSpec(num_iterations=2, total_samples=256).to_dict()
+        del data["rng_version"]
+        with pytest.raises(RngVersionError, match="rng_version=1"):
+            Engine().run(RunSpec.from_dict(data))
 
     def test_straggler_mapping_requires_kind(self):
         with pytest.raises(SpecError, match="kind"):

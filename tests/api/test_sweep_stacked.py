@@ -4,8 +4,8 @@
 routes each group through one run-stacked kernel call.  The contract pinned
 here: every result is bit-identical (JSON-exact) to the per-run ``run_many``
 path, regardless of how the planner grouped the specs — and everything the
-planner cannot stack (rng_version=1, coded-protocol training, injected
-backends) silently falls back to the per-run path.
+planner cannot stack (coded-protocol training, singletons under an explicit
+executor) silently falls back to the per-run path.
 """
 
 from __future__ import annotations
@@ -166,16 +166,17 @@ class TestStackedTrainingSweeps:
 
 
 class TestPlannerFallbacks:
-    def test_v1_specs_use_the_per_run_path(self, engine):
+    def test_default_specs_stack_like_run_many(self, engine):
         base = RunSpec(num_iterations=6, total_samples=512, seed=0)
         assert_sweep_matches_run_many(
             engine, base, seed=[0, 1, 2], scheme=["naive", "cyclic"]
         )
 
-    def test_mixed_v1_v2_sweep(self, engine):
-        base = RunSpec(num_iterations=6, total_samples=512, seed=0)
+    def test_mixed_timing_training_sweep(self, engine):
+        # Timing members stack; coded-protocol training members fall back.
+        base = RunSpec(num_iterations=4, total_samples=256, seed=0)
         assert_sweep_matches_run_many(
-            engine, base, rng_version=[1, 2], seed=[0, 1, 2]
+            engine, base, mode=["timing", "training"], seed=[0, 1, 2]
         )
 
     def test_process_pool_composes_with_stacking(self, engine):
@@ -188,7 +189,7 @@ class TestPlannerFallbacks:
             rng_version=2,
             seed=0,
         )
-        axes = {"seed": [0, 1, 2, 3], "rng_version": [1, 2]}
+        axes = {"seed": [0, 1, 2, 3], "mode": ["timing", "training"]}
         serial = engine.sweep(base, **axes)
         pooled = engine.sweep(base, executor="process", **axes)
         assert results_json(serial) == results_json(pooled)

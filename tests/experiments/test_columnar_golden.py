@@ -16,6 +16,7 @@ import warnings
 
 import pytest
 
+from repro._reference import run_spec_reference
 from repro.api import Engine, RunSpec, StragglerSpec
 from repro.experiments.fig4_loss_curve import run_fig4
 from repro.experiments.table2_clusters import run_table2
@@ -30,10 +31,9 @@ def assert_columnar_equals_record_json(trace: RunTrace) -> None:
     rebuilt = RunTrace(
         scheme=trace.scheme,
         cluster_name=trace.cluster_name,
+        records=trace.records,  # materialize the compatibility view
         metadata=dict(trace.metadata),
     )
-    for record in trace.records:  # materialize the compatibility view
-        rebuilt.append(record)
     assert json.dumps(rebuilt.to_dict()) == columnar_json
     # And the JSON round-trip is silent (no unknown-key warnings) and stable.
     with warnings.catch_warnings():
@@ -49,10 +49,12 @@ def figure_traces():
     The per-figure modules (Figs. 2/3/5) reduce their runs to scalar
     summaries, so the traces are produced through the identical
     :class:`RunSpec` shapes each figure submits to the engine — every
-    scheme, both RNG versions for the fig2 shape, the fault (``inf``
-    delay) cells included — plus the real ``run_fig4`` training traces.
+    scheme, both RNG versions for the fig2 shape (v1 from the
+    ``repro._reference`` oracle), the fault (``inf`` delay) cells included —
+    plus the real ``run_fig4`` training traces.
     """
     engine = Engine()
+    runners = {1: run_spec_reference, 2: engine.run}
     traces = {}
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
@@ -69,7 +71,7 @@ def figure_traces():
                         ),
                     )
                     traces[f"fig2/{scheme}/{delay}/v{rng_version}"] = (
-                        engine.run(spec).trace
+                        runners[rng_version](spec).trace
                     )
             # Fig. 3 shape: transient slowdowns across clusters.
             for cluster in ("Cluster-A", "Cluster-B"):

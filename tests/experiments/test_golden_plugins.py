@@ -58,13 +58,16 @@ def quiet_report(**kwargs):
 
 
 class TestIncludePlugins:
-    def test_plugins_are_snapshotted_at_both_rng_versions(
-        self, plugin_registrations
-    ):
+    def test_plugins_are_snapshotted_at_v2_only(self, plugin_registrations):
+        # Plugins have no rng_version=1 history to pin.
         report = quiet_report(include_plugins=True)
-        for version in (1, 2):
-            assert f"plugins/scheme/{SCHEME_NAME}/v{version}" in report["runs"]
-            assert f"plugins/protocol/{PROTOCOL_NAME}/v{version}" in report["runs"]
+        plugin_runs = sorted(name for name in report["runs"] if name.startswith("plugins/"))
+        assert plugin_runs == [
+            f"plugins/protocol/{PROTOCOL_NAME}/v2",
+            f"plugins/scheme/{SCHEME_NAME}/v2",
+        ]
+        for name in plugin_runs:
+            assert report["runs"][name]["spec"]["rng_version"] == 2
         assert report["plugins"] == {
             "schemes": [SCHEME_NAME],
             "protocols": [PROTOCOL_NAME],

@@ -2,13 +2,16 @@
 
 Two guarantees are locked in here:
 
-* **v1 bit-identity** — ``rng_version=1`` traces are bit-identical to the
-  pre-vectorization reference implementation for *every* registered
-  straggler model on *every* Table II cluster, so this PR (and any future
-  one) cannot silently move the historical stream layout.
-* **v1/v2 statistical equivalence** — at matched seeds the two layouts
-  draw from identical marginal distributions; means of durations and
-  per-worker compute times must agree within Monte-Carlo tolerance.
+* **decode decisions match the scalar reference** — for *every*
+  registered straggler model on *every* Table II cluster, each iteration
+  of a timing trace decodes exactly where the pre-vectorization per-prefix
+  search (``repro._reference``) decodes the same completion times: same
+  duration, same workers used, same group.
+* **v1/v2 statistical equivalence** — at matched seeds the historical
+  single-stream layout (the ``repro._reference`` oracle) and the
+  per-component layout the engine runs draw from identical marginal
+  distributions; means of durations and per-worker compute times must
+  agree within Monte-Carlo tolerance.
 """
 
 from __future__ import annotations
@@ -18,10 +21,12 @@ import warnings
 import numpy as np
 import pytest
 
-from repro._reference import measure_timing_trace_reference
+from repro._reference import decide_reference, measure_timing_trace_reference
 from repro.api.builders import build_injector
 from repro.api.registry import CLUSTERS, STRAGGLER_MODELS
 from repro.api.spec import StragglerSpec
+from repro.coding.decoding import Decoder
+from repro.coding.registry import build_strategy
 from repro.experiments.clusters import build_cluster
 from repro.experiments.common import SampleCountDriftWarning, measure_timing_trace
 
@@ -65,69 +70,60 @@ def fresh_injector(kind: str, params: dict):
     return build_injector(StragglerSpec(kind=kind, params=dict(params)))
 
 
-def traces_bit_identical(a, b) -> bool:
-    if not np.array_equal(a.durations, b.durations):
-        return False
-    for ra, rb in zip(a.records, b.records):
-        if ra.compute_times != rb.compute_times:
-            return False
-        if ra.completion_times != rb.completion_times:
-            return False
-        if ra.workers_used != rb.workers_used or ra.used_group != rb.used_group:
-            return False
-    return a.metadata == b.metadata
+def assert_decisions_match_reference(scheme, cluster, trace, num_stragglers, seed):
+    """Re-decide every iteration of ``trace`` with the scalar per-prefix
+    search over its own completion times."""
+    strategy = build_strategy(
+        scheme,
+        throughputs=cluster.estimated_throughputs,
+        num_partitions=trace.metadata["num_partitions"],
+        num_stragglers=num_stragglers,
+        rng=np.random.default_rng(seed),
+    )
+    assert list(strategy.loads) == trace.metadata["loads"]
+    decoder = Decoder(strategy)
+    columns = trace.columns()
+    decisions = zip(
+        columns.durations.tolist(), columns.workers_used, columns.used_groups
+    )
+    for completion, decision in zip(columns.completion_times, decisions, strict=True):
+        assert decision == decide_reference(decoder, completion)
 
 
-class TestV1BitIdentity:
+class TestDecisionsMatchScalarReference:
     @pytest.mark.parametrize("cluster_name", CLUSTER_NAMES)
     @pytest.mark.parametrize("kind,params", INJECTOR_CASES)
-    def test_v1_matches_pre_vectorization_reference(
-        self, cluster_name, kind, params
-    ):
+    def test_every_injector_and_cluster(self, cluster_name, kind, params):
         cluster = build_cluster(cluster_name, rng=0)
-        kwargs = dict(
-            num_stragglers=1,
-            total_samples=2048,
-            num_iterations=12,
-            gradient_bytes=8.0 * 4096,
-            seed=7,
-        )
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", SampleCountDriftWarning)
-            reference = measure_timing_trace_reference(
+            trace = measure_timing_trace(
                 "heter_aware", cluster,
-                injector=fresh_injector(kind, params), **kwargs,
+                injector=fresh_injector(kind, params),
+                num_stragglers=1,
+                total_samples=2048,
+                num_iterations=12,
+                gradient_bytes=8.0 * 4096,
+                seed=7,
             )
-            current = measure_timing_trace(
-                "heter_aware", cluster,
-                injector=fresh_injector(kind, params), **kwargs,
-            )
-        assert traces_bit_identical(reference, current)
+        assert_decisions_match_reference("heter_aware", cluster, trace, 1, seed=7)
 
     @pytest.mark.parametrize("scheme", ["naive", "cyclic", "group_based"])
-    def test_v1_matches_reference_across_schemes(self, scheme):
+    def test_across_schemes(self, scheme):
         cluster = build_cluster("Cluster-A", rng=0)
-        kwargs = dict(
-            num_stragglers=0 if scheme == "naive" else 1,
-            total_samples=2048,
-            num_iterations=15,
-            seed=3,
-        )
+        num_stragglers = 0 if scheme == "naive" else 1
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", SampleCountDriftWarning)
-            reference = measure_timing_trace_reference(
+            trace = measure_timing_trace(
                 scheme, cluster,
                 injector=fresh_injector("artificial_delay",
                                         {"num_stragglers": 1, "delay_seconds": 2.0}),
-                **kwargs,
+                num_stragglers=num_stragglers,
+                total_samples=2048,
+                num_iterations=15,
+                seed=3,
             )
-            current = measure_timing_trace(
-                scheme, cluster,
-                injector=fresh_injector("artificial_delay",
-                                        {"num_stragglers": 1, "delay_seconds": 2.0}),
-                **kwargs,
-            )
-        assert traces_bit_identical(reference, current)
+        assert_decisions_match_reference(scheme, cluster, trace, num_stragglers, seed=3)
 
 
 class TestV1V2StatisticalEquivalence:
@@ -142,13 +138,13 @@ class TestV1V2StatisticalEquivalence:
         )
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", SampleCountDriftWarning)
-            v1 = measure_timing_trace(
+            v1 = measure_timing_trace_reference(
                 "heter_aware", cluster,
-                injector=fresh_injector(kind, params), rng_version=1, **kwargs,
+                injector=fresh_injector(kind, params), **kwargs,
             )
             v2 = measure_timing_trace(
                 "heter_aware", cluster,
-                injector=fresh_injector(kind, params), rng_version=2, **kwargs,
+                injector=fresh_injector(kind, params), **kwargs,
             )
         d1, d2 = v1.durations, v2.durations
         finite1, finite2 = np.isfinite(d1), np.isfinite(d2)
@@ -167,13 +163,13 @@ class TestV1V2StatisticalEquivalence:
             num_stragglers=1, total_samples=2048, num_iterations=300, seed=0,
         )
         v1, v2 = (
-            measure_timing_trace(
+            measure(
                 scheme, cluster,
                 injector=fresh_injector("artificial_delay",
                                         {"num_stragglers": 1, "delay_seconds": 1.0}),
-                rng_version=version, **kwargs,
+                **kwargs,
             )
-            for version in (1, 2)
+            for measure in (measure_timing_trace_reference, measure_timing_trace)
         )
         assert v2.metadata["rng_version"] == 2
         assert v2.mean_iteration_time() == pytest.approx(
@@ -186,18 +182,10 @@ class TestV1V2StatisticalEquivalence:
             num_stragglers=1, total_samples=2048, num_iterations=25, seed=0,
             injector=None,
         )
-        v2a = measure_timing_trace("heter_aware", cluster, rng_version=2, **kwargs)
-        v2b = measure_timing_trace("heter_aware", cluster, rng_version=2, **kwargs)
-        v1 = measure_timing_trace("heter_aware", cluster, rng_version=1, **kwargs)
+        v2a = measure_timing_trace("heter_aware", cluster, **kwargs)
+        v2b = measure_timing_trace("heter_aware", cluster, **kwargs)
+        v1 = measure_timing_trace_reference("heter_aware", cluster, **kwargs)
         assert np.array_equal(v2a.durations, v2b.durations)
         assert not np.array_equal(v1.durations, v2a.durations)
         assert v2a.metadata["rng_version"] == 2
         assert "rng_version" not in v1.metadata
-
-    def test_unknown_rng_version_rejected(self):
-        cluster = build_cluster("Cluster-A", rng=0)
-        with pytest.raises(ValueError, match="rng_version"):
-            measure_timing_trace(
-                "heter_aware", cluster, num_stragglers=1,
-                total_samples=2048, num_iterations=5, rng_version=3,
-            )

@@ -18,6 +18,7 @@ from repro.coding import (
     certify_robustness,
     makespan_lower_bound,
 )
+from repro.experiments.common import measure_timing_trace
 from repro.learning import (
     SGD,
     MLPClassifier,
@@ -37,7 +38,6 @@ from repro.simulation import (
     SimpleNetwork,
     ZeroCommunication,
     cluster_from_vcpu_counts,
-    simulate_iteration,
 )
 
 
@@ -135,23 +135,19 @@ class TestStragglerToleranceEndToEnd:
             assert certify_robustness(strategy, max_patterns=15, rng=0).robust, scheme
 
     def test_fault_tolerance_in_simulation(self, cluster_a):
-        strategy = build_strategy(
+        trace = measure_timing_trace(
             "heter_aware",
-            throughputs=cluster_a.estimated_throughputs,
-            num_partitions=16,
-            num_stragglers=1,
-            rng=0,
-        )
-        timing = simulate_iteration(
-            strategy,
             cluster_a,
-            samples_per_partition=64,
+            num_stragglers=1,
+            total_samples=16 * 64,
+            num_iterations=3,
+            num_partitions=16,
             injector=FailStop({7: 0}),
             network=ZeroCommunication(),
-            rng=0,
+            seed=0,
         )
-        assert timing.decodable
-        assert 7 not in timing.workers_used
+        assert trace.completed
+        assert all(7 not in record.workers_used for record in trace.records)
 
 
 class TestPaperHeadlineClaims:

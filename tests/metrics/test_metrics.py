@@ -37,10 +37,14 @@ def record(iteration, duration, loss=1.0, compute=(0.5, 1.0)):
 
 def make_trace(durations, losses=None, scheme="x"):
     losses = losses or [1.0] * len(durations)
-    trace = RunTrace(scheme=scheme, cluster_name="c")
-    for i, (duration, loss) in enumerate(zip(durations, losses)):
-        trace.append(record(i, duration, loss))
-    return trace
+    return RunTrace(
+        scheme=scheme,
+        cluster_name="c",
+        records=[
+            record(i, duration, loss)
+            for i, (duration, loss) in enumerate(zip(durations, losses))
+        ],
+    )
 
 
 class TestResourceUsage:
@@ -73,20 +77,22 @@ class TestResourceUsage:
 
 class TestPerWorkerUsage:
     def trace(self) -> RunTrace:
-        trace = RunTrace(scheme="x", cluster_name="c")
-        trace.append(record(0, duration=2.0, compute=(1.0, 3.0)))
-        trace.append(record(1, duration=float("inf"), compute=(1.0, 1.0)))
-        trace.append(
-            IterationRecord(
-                iteration=2,
-                duration=1.0,
-                train_loss=1.0,
-                compute_times=(0.5, 1.0),
-                completion_times=(0.6, 1.1),
-                workers_used=(1,),
-            )
+        return RunTrace(
+            scheme="x",
+            cluster_name="c",
+            records=[
+                record(0, duration=2.0, compute=(1.0, 3.0)),
+                record(1, duration=float("inf"), compute=(1.0, 1.0)),
+                IterationRecord(
+                    iteration=2,
+                    duration=1.0,
+                    train_loss=1.0,
+                    compute_times=(0.5, 1.0),
+                    completion_times=(0.6, 1.1),
+                    workers_used=(1,),
+                ),
+            ],
         )
-        return trace
 
     def test_busy_fraction_per_worker(self):
         # Worker 1's 3.0 s is capped at the 2.0 s iteration; the stalled
@@ -109,16 +115,19 @@ class TestPerWorkerUsage:
         assert worker_participation(trace).size == 0
 
     def test_participation_rejects_ids_outside_the_cluster(self):
-        trace = RunTrace(scheme="x", cluster_name="c")
-        trace.append(
-            IterationRecord(
-                iteration=0,
-                duration=1.0,
-                train_loss=1.0,
-                compute_times=(1.0, 1.0),
-                completion_times=(1.1, 1.1),
-                workers_used=(0, 2),
-            )
+        trace = RunTrace(
+            scheme="x",
+            cluster_name="c",
+            records=[
+                IterationRecord(
+                    iteration=0,
+                    duration=1.0,
+                    train_loss=1.0,
+                    compute_times=(1.0, 1.0),
+                    completion_times=(1.1, 1.1),
+                    workers_used=(0, 2),
+                )
+            ],
         )
         with pytest.raises(ValueError, match="max id 2, num_workers 2"):
             worker_participation(trace)

@@ -1,4 +1,4 @@
-"""Tests for the batched (``rng_version=2``) fig4 training path.
+"""Tests for the batched fig4 training path.
 
 Covers the pieces PR 4 added around the protocols: threading
 :class:`RngStreams` through ``TrainingConfig.make_rng``, the vectorized
@@ -12,18 +12,19 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro._reference import coded_bsp_run_reference
 from repro.api import Engine, RunSpec, StragglerSpec
 from repro.experiments.clusters import build_cluster
 from repro.experiments.workloads import get_workload
 from repro.learning.optimizers import SGD, Adam, MomentumSGD
 from repro.learning.partition import partition_dataset
 from repro.protocols.base import ProtocolError, TrainingConfig, evaluate_mean_loss
-from repro.protocols.runner import run_scheme
+from repro.protocols.runner import _partition_for_scheme, make_protocol, run_scheme
 from repro.simulation.rng import RngStreams
 from repro.simulation.stragglers import FailStop, TransientSlowdown
 
 
-def make_config(seed: int = 0, streams: bool = True, **overrides) -> TrainingConfig:
+def make_config(seed: int = 0, **overrides) -> TrainingConfig:
     defaults = dict(
         num_iterations=6,
         num_stragglers=1,
@@ -33,10 +34,7 @@ def make_config(seed: int = 0, streams: bool = True, **overrides) -> TrainingCon
         loss_eval_samples=128,
     )
     defaults.update(overrides)
-    config = TrainingConfig(**defaults)
-    if streams:
-        config.rng_streams = RngStreams.from_seed(seed)
-    return config
+    return TrainingConfig(**defaults)
 
 
 def run_training(scheme: str, config: TrainingConfig, seed: int = 0):
@@ -52,6 +50,20 @@ def run_training(scheme: str, config: TrainingConfig, seed: int = 0):
     )
 
 
+def run_reference_training(scheme: str, config: TrainingConfig, seed: int = 0):
+    """:func:`run_training` through the per-iteration v1 oracle loop."""
+    preset = get_workload("blobs_softmax")
+    cluster = build_cluster("Cluster-A", rng=seed)
+    dataset = preset.make_dataset(512, seed=seed)
+    return coded_bsp_run_reference(
+        make_protocol(scheme),
+        preset.make_model(dataset, seed=seed),
+        _partition_for_scheme(scheme, dataset, cluster, config),
+        cluster,
+        config,
+    )
+
+
 class TestMakeRngComponents:
     def test_component_returns_live_stream(self):
         config = make_config()
@@ -60,11 +72,14 @@ class TestMakeRngComponents:
         assert first is second  # one continuing lineage, not fresh streams
         assert first is config.rng_streams.training
 
-    def test_component_without_streams_falls_back_to_offsets(self):
-        config = make_config(streams=False)
-        a = config.make_rng(component="training").normal(size=4)
-        b = config.make_rng().normal(size=4)
-        assert np.allclose(a, b)
+    def test_streams_default_to_the_seed(self):
+        filled = make_config(seed=5).make_rng(component="training").normal(size=4)
+        spawned = RngStreams.from_seed(5).training.normal(size=4)
+        assert np.array_equal(filled, spawned)
+
+    def test_explicit_streams_are_kept(self):
+        streams = RngStreams.from_seed(9)
+        assert make_config(rng_streams=streams).rng_streams is streams
 
     def test_unknown_component_rejected(self):
         with pytest.raises(ProtocolError, match="rng component"):
@@ -148,8 +163,8 @@ class TestBatchedCodedProtocol:
     def test_learning_outcome_matches_per_iteration_path(self, scheme):
         """The decoded gradient equals the full-batch gradient on both
         paths, so at matched seeds the loss trajectories must agree."""
-        batched = run_training(scheme, make_config(streams=True))
-        legacy = run_training(scheme, make_config(streams=False))
+        batched = run_training(scheme, make_config())
+        legacy = run_reference_training(scheme, make_config())
         assert batched.num_iterations == legacy.num_iterations
         # The batched path records the exact full-batch loss; the legacy
         # path a 128-sample estimate of it.
@@ -160,7 +175,7 @@ class TestBatchedCodedProtocol:
         assert "rng_version" not in legacy.metadata
 
     def test_batched_trace_is_columnar(self):
-        trace = run_training("heter_aware", make_config(streams=True))
+        trace = run_training("heter_aware", make_config())
         assert trace._records_cache is None  # assembled via from_arrays
         assert trace.columns().num_iterations == trace.num_iterations
         assert np.all(np.isfinite(trace.losses))
@@ -169,7 +184,7 @@ class TestBatchedCodedProtocol:
         preset = get_workload("blobs_softmax")
         cluster = build_cluster("Cluster-A", rng=0)
         dataset = preset.make_dataset(512, seed=0)
-        config = make_config(streams=True, num_iterations=1)
+        config = make_config(num_iterations=1)
         model = preset.make_model(dataset, seed=0)
         fresh = preset.make_model(dataset, seed=0)
         trace = run_scheme(
@@ -188,7 +203,6 @@ class TestBatchedCodedProtocol:
 
     def test_stall_truncates_the_batched_trace(self):
         config = make_config(
-            streams=True,
             num_iterations=8,
             straggler_injector=FailStop({0: 3, 1: 3, 2: 3, 3: 3}),
             num_stragglers=1,
@@ -200,7 +214,7 @@ class TestBatchedCodedProtocol:
         assert np.isfinite(trace.losses[-1])  # stall row still records a loss
 
     def test_record_loss_every_carries_last_loss(self):
-        config = make_config(streams=True, num_iterations=6, record_loss_every=3)
+        config = make_config(num_iterations=6, record_loss_every=3)
         trace = run_training("heter_aware", config)
         losses = trace.losses
         assert losses[0] == losses[1] == losses[2]

@@ -14,8 +14,9 @@ from repro.protocols.runner import (
     make_protocol,
     run_scheme,
 )
+from repro.simulation.cluster import cluster_from_vcpu_counts
 from repro.simulation.network import ZeroCommunication
-from repro.simulation.stragglers import NoStragglers
+from repro.simulation.stragglers import NoStragglers, TransientSlowdown
 
 
 @pytest.fixture
@@ -107,6 +108,34 @@ class TestCompareSchemes:
         assert set(traces.keys()) == {"naive", "cyclic", "heter_aware", "group_based"}
         for trace in traces.values():
             assert trace.num_iterations == config.num_iterations
+
+    def test_every_scheme_sees_the_conditions_of_a_solo_run(self, blob_dataset):
+        """A shared config's live RNG streams are not handed from one scheme
+        to the next: each compared scheme runs exactly as it runs alone."""
+        cluster = cluster_from_vcpu_counts(
+            "noisy", {1: 2, 2: 2, 4: 1}, compute_noise=0.1, rng=0
+        )
+
+        def noisy_config():
+            return TrainingConfig(
+                num_iterations=4,
+                num_stragglers=1,
+                optimizer_factory=lambda: SGD(learning_rate=0.1),
+                straggler_injector=TransientSlowdown(0.3, mean_delay_seconds=1.0),
+                seed=3,
+            )
+
+        schemes = ["cyclic", "heter_aware", "ssp"]
+        shared = noisy_config()
+        traces = compare_schemes(
+            schemes, model_factory_for(blob_dataset), blob_dataset, cluster, shared
+        )
+        for scheme in schemes:
+            alone = run_scheme(
+                scheme, model_factory_for(blob_dataset), blob_dataset, cluster,
+                noisy_config(),
+            )
+            np.testing.assert_array_equal(traces[scheme].durations, alone.durations)
 
     def test_heter_aware_faster_than_naive_on_heterogeneous_cluster(
         self, blob_dataset, small_cluster, config

@@ -1,7 +1,8 @@
-"""Tests for the batched (rng_version=2) SSP/Async event engine.
+"""Tests for the batched SSP/Async event engine.
 
-The batched path replaces the per-event heap loop with a numpy scan over
-per-worker clocks plus a block-batched gradient replay.  Its contract
+The batched path replaces the per-event heap loop — kept as the oracle
+``ssp_run_per_event_reference`` in ``repro._reference`` — with a numpy scan
+over per-worker clocks plus a block-batched gradient replay.  Its contract
 mirrors PR 3's v1/v2 timing contract:
 
 * with **deterministic** timing (no jitter, no random delays, deterministic
@@ -20,7 +21,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.api import Engine, RunSpec, StragglerSpec
+from repro._reference import run_spec_reference, ssp_run_per_event_reference
+from repro.api import Engine, NetworkSpec, RunSpec, StragglerSpec
 from repro.learning.datasets import make_blobs
 from repro.learning.models import MLPClassifier, SoftmaxClassifier
 from repro.learning.optimizers import SGD
@@ -83,12 +85,12 @@ def make_config(streams, injector=None, iters=6, **kwargs):
 
 
 def run_pair(protocol_factory, dataset, cluster, partitioned, config_kwargs):
-    """Run the heap loop (v1 config) and the batched path (v2 config) on
-    identically seeded fresh models; return (trace_v1, trace_v2, m1, m2)."""
+    """Run the heap-loop oracle and the batched path on identically seeded
+    fresh models; return (trace_heap, trace_batched, m1, m2)."""
     m1 = SoftmaxClassifier(dataset.num_features, dataset.num_classes, rng=0)
     m2 = SoftmaxClassifier(dataset.num_features, dataset.num_classes, rng=0)
-    t1 = protocol_factory().run(
-        m1, partitioned, cluster, make_config(None, **config_kwargs)
+    t1 = ssp_run_per_event_reference(
+        protocol_factory(), m1, partitioned, cluster, make_config(None, **config_kwargs)
     )
     t2 = protocol_factory().run(
         m2, partitioned, cluster, make_config(RngStreams.from_seed(0), **config_kwargs)
@@ -249,7 +251,7 @@ class TestStatisticalEquivalence:
         )
         d1, d2, l1, l2 = [], [], [], []
         for seed in range(6):
-            r1 = engine.run(base.replace(seed=seed, rng_version=1))
+            r1 = run_spec_reference(base.replace(seed=seed, rng_version=1))
             r2 = engine.run(base.replace(seed=seed, rng_version=2))
             assert r2.trace.metadata["rng_version"] == 2
             assert "rng_version" not in r1.trace.metadata
@@ -357,8 +359,8 @@ class TestStochasticNetworkStream:
             model = SoftmaxClassifier(
                 dataset.num_features, dataset.num_classes, rng=0
             )
-            trace = protocol.run_per_event(
-                model, partitioned, cluster,
+            trace = ssp_run_per_event_reference(
+                protocol, model, partitioned, cluster,
                 self.network_config(RngStreams.from_seed(seed)),
             )
             totals_event.append(trace.total_time)
@@ -375,16 +377,31 @@ class TestStochasticNetworkStream:
         mean_batched = np.mean(totals_batched)
         assert abs(mean_event - mean_batched) <= 0.3 * max(mean_event, mean_batched)
 
-    def test_v1_config_with_stochastic_network_still_raises(self, dataset):
-        from repro.protocols.base import ProtocolError
-
+    def test_config_without_streams_uses_its_seed_network_stream(self, dataset):
+        """A config given no streams spawns them from its seed, so the
+        stochastic network draws come from that seed's network stream."""
         cluster = deterministic_cluster()
         partitioned = partition_dataset(dataset, cluster.num_workers, rng=0)
-        model = SoftmaxClassifier(dataset.num_features, dataset.num_classes, rng=0)
-        with pytest.raises(ProtocolError, match="rng_version=2"):
-            SSPProtocol(staleness=3).run(
-                model, partitioned, cluster, self.network_config(None)
+        traces = []
+        for streams in (None, RngStreams.from_seed(0)):
+            model = SoftmaxClassifier(dataset.num_features, dataset.num_classes, rng=0)
+            traces.append(
+                SSPProtocol(staleness=3).run(
+                    model, partitioned, cluster, self.network_config(streams)
+                )
             )
+        assert_exactly_equal(*traces)
+
+    def test_v1_oracle_refuses_stochastic_networks(self):
+        from repro.simulation.timing import TimingError
+
+        spec = RunSpec(
+            mode="training", scheme="ssp", num_iterations=2, total_samples=128,
+            network=NetworkSpec("lognormal", {"latency_sigma": 0.5}),
+            rng_version=1,
+        )
+        with pytest.raises(TimingError, match="no slot for network draws"):
+            run_spec_reference(spec)
 
 
 class TestReplayDispatchEquivalence:

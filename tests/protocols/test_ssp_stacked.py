@@ -130,18 +130,3 @@ class TestRunStackedValidation:
     def test_rejects_empty_stack(self):
         with pytest.raises(ProtocolError, match="at least one run"):
             SSPProtocol(staleness=1).run_stacked([], [], [], [])
-
-    def test_rejects_missing_rng_streams(self):
-        model, partitioned, cluster, config = make_run(
-            0, NoStragglers(), SimpleNetwork()
-        )
-        legacy = TrainingConfig(
-            num_iterations=4,
-            seed=0,
-            straggler_injector=NoStragglers(),
-            network=SimpleNetwork(),
-        )
-        with pytest.raises(ProtocolError, match="RngStreams"):
-            SSPProtocol(staleness=1).run_stacked(
-                [model], [partitioned], [cluster], [legacy]
-            )

@@ -1,7 +1,7 @@
-"""The timing kernels decide through the batched prefix search only.
+"""The timing kernel decides through the batched prefix search only.
 
-``run`` (v1) and ``run_stacked`` (v2, where a single run is a 1-run stack)
-hand every completion order the order memo has not seen to
+``run_stacked`` (where a single run is a 1-run stack) hands every
+completion order the order memo has not seen to
 ``Decoder.earliest_decodable_prefix_batched``.
 These tests pin that the per-order search is never called on that path, and
 that the arrays equal one-order-at-a-time decisions made with the scalar
@@ -94,12 +94,6 @@ def scalar_calls(monkeypatch):
 
 
 class TestKernelsNeverCallTheScalarSearch:
-    def test_run(self, scalar_calls):
-        kernel = make_kernel()
-        arrays = kernel.run(40, rng=0, injector=FAILING)
-        assert scalar_calls == []
-        assert_matches_scalar(kernel.strategy, arrays)
-
     def test_one_run_stack(self, scalar_calls):
         kernel = make_kernel()
         (arrays,) = kernel.run_stacked(40, stacked_runs((0,), (FAILING,)))

@@ -6,8 +6,10 @@ These are the KER001 pairing tests for ``ClusterSpec.compute_times_batch``,
 randomness component in one generator call, which (for a fixed component
 stream) consumes the stream in exactly the order the per-iteration scalar
 path does — so at matched seeds the batch is *bit-identical* to stacking
-scalar calls, not merely statistically close.  The timing kernel's 1-run
-stack is pinned against a composition of those primitives written here.
+scalar calls, not merely statistically close.  The stacked per-worker
+arrays are pinned against the scalar per-worker loop of
+``repro._reference``, and the timing kernel's 1-run stack against a
+composition of those primitives written here.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro._reference import simulate_worker_timings_reference
 from repro.coding.registry import build_strategy
 from repro.simulation.cluster import ClusterError, cluster_from_vcpu_counts
 from repro.simulation.network import LogNormalNetwork, SimpleNetwork
@@ -24,7 +27,6 @@ from repro.simulation.stragglers import (
     NoStragglers,
     TransientSlowdown,
 )
-from repro.simulation.timing import simulate_worker_timing_arrays
 from repro.simulation.vectorized import (
     StackedRun,
     TimingTraceKernel,
@@ -83,6 +85,15 @@ class TestComputeTimesBatchPairsScalar:
             noisy_cluster.compute_times_batch(workloads, 0)
 
 
+def reference_timing_arrays(cluster, workloads, **kwargs):
+    """The reference's per-worker timings as ``(compute, delays, comm)``."""
+    timings = simulate_worker_timings_reference(cluster, workloads, **kwargs)
+    return tuple(
+        np.array([getattr(timing, field) for timing in timings])
+        for field in ("compute_time", "injected_delay", "comm_time")
+    )
+
+
 def one_run(injector=None, injector_seed=0, jitter_seed=0):
     return [
         StackedRun(
@@ -109,7 +120,7 @@ class TestStackedTimingArraysPairScalar:
             network=network,
         )
         for iteration in range(4):
-            compute, delays, comm = simulate_worker_timing_arrays(
+            compute, delays, comm = reference_timing_arrays(
                 quiet,
                 workloads,
                 injector=NoStragglers(),
@@ -140,7 +151,7 @@ class TestStackedTimingArraysPairScalar:
         )
         scalar_rng = np.random.default_rng(6)
         for iteration in range(iterations):
-            compute, delays, comm = simulate_worker_timing_arrays(
+            compute, delays, comm = reference_timing_arrays(
                 noisy_cluster,
                 workloads,
                 injector=NoStragglers(),

@@ -7,6 +7,11 @@ import warnings
 import numpy as np
 import pytest
 
+from repro._reference import (
+    measure_timing_trace_reference,
+    run_spec_reference,
+    simulate_iteration_reference,
+)
 from repro.api import Engine, RunSpec
 from repro.api.builders import build_network
 from repro.api.registry import NETWORK_MODELS
@@ -19,8 +24,7 @@ from repro.simulation.network import (
     SimpleNetwork,
     ZeroCommunication,
 )
-from repro.protocols.base import ProtocolError
-from repro.simulation.timing import TimingError, simulate_iteration
+from repro.simulation.timing import TimingError
 
 
 class TestLogNormalNetworkModel:
@@ -101,10 +105,10 @@ class TestStochasticNetworkTiming:
 
     def test_v1_timing_raises_a_clear_error(self):
         cluster = build_cluster("Cluster-A", rng=0)
-        with pytest.raises(TimingError, match="rng_version=2"):
-            measure_timing_trace(
+        with pytest.raises(TimingError, match="no slot for network draws"):
+            measure_timing_trace_reference(
                 "heter_aware", cluster, network=LogNormalNetwork(),
-                rng_version=1, **self.kwargs(),
+                **self.kwargs(),
             )
 
     def test_simulate_iteration_rejects_stochastic_networks(self):
@@ -118,8 +122,8 @@ class TestStochasticNetworkTiming:
             num_stragglers=1,
             rng=0,
         )
-        with pytest.raises(TimingError, match="rng_version=2"):
-            simulate_iteration(
+        with pytest.raises(TimingError, match="no slot for network draws"):
+            simulate_iteration_reference(
                 strategy, cluster, samples_per_partition=8,
                 network=LogNormalNetwork(), rng=0,
             )
@@ -171,11 +175,11 @@ class TestStochasticNetworkTiming:
             warnings.simplefilter("ignore", SampleCountDriftWarning)
             a = measure_timing_trace(
                 "heter_aware", cluster, network=LogNormalNetwork(),
-                rng_version=2, **self.kwargs(),
+                **self.kwargs(),
             )
             b = measure_timing_trace(
                 "heter_aware", cluster, network=LogNormalNetwork(),
-                rng_version=2, **self.kwargs(),
+                **self.kwargs(),
             )
         np.testing.assert_array_equal(a.durations, b.durations)
         np.testing.assert_array_equal(
@@ -190,11 +194,11 @@ class TestStochasticNetworkTiming:
             stochastic = measure_timing_trace(
                 "heter_aware", cluster,
                 network=LogNormalNetwork(latency_sigma=0.5, bandwidth_sigma=0.3),
-                rng_version=2, **self.kwargs(),
+                **self.kwargs(),
             )
             deterministic = measure_timing_trace(
                 "heter_aware", cluster, network=SimpleNetwork(),
-                rng_version=2, **self.kwargs(),
+                **self.kwargs(),
             )
         # Same injector/jitter streams, different comm: compute times agree,
         # completion times do not.
@@ -238,14 +242,15 @@ class TestStochasticNetworkTiming:
             result.trace.durations, again.trace.durations
         )
 
-    def test_engine_v1_lognormal_fails_loudly(self):
-        with pytest.raises(TimingError, match="rng_version=2"):
-            Engine().run(
+    def test_v1_oracle_lognormal_fails_loudly(self):
+        with pytest.raises(TimingError, match="no slot for network draws"):
+            run_spec_reference(
                 RunSpec(
                     num_iterations=5,
                     total_samples=1024,
                     seed=3,
                     network={"kind": "lognormal"},
+                    rng_version=1,
                 )
             )
 
@@ -278,8 +283,8 @@ class TestStochasticNetworkTraining:
 
     @pytest.mark.parametrize("scheme", ["ssp", "heter_aware"])
     def test_training_v1_fails_loudly_instead_of_using_the_median(self, scheme):
-        with pytest.raises((TimingError, ProtocolError), match="rng_version=2"):
-            Engine().run(self.spec(scheme, 1))
+        with pytest.raises(TimingError, match="no slot for network draws"):
+            run_spec_reference(self.spec(scheme, 1))
 
     def test_coded_v2_training_consumes_network_stream(self):
         stochastic = Engine().run(self.spec("heter_aware", 2))
@@ -347,11 +352,11 @@ class TestOverlappedStochasticBase:
         assert deterministic.fingerprint(1024.0)[0] == "deterministic"
 
     def test_v1_overlapped_lognormal_fails_loudly(self):
-        with pytest.raises(TimingError, match="rng_version=2"):
-            Engine().run(
+        with pytest.raises(TimingError, match="no slot for network draws"):
+            run_spec_reference(
                 RunSpec(
                     num_iterations=3, total_samples=1024, seed=0,
-                    network=self.overlapped(),
+                    network=self.overlapped(), rng_version=1,
                 )
             )
 

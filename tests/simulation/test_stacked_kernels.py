@@ -1,6 +1,6 @@
-"""Bit-identity of the run-stacked timing kernel, the one v2 timing path.
+"""Bit-identity of the run-stacked timing kernel, the one timing path.
 
-A single ``rng_version=2`` run is a 1-run stack, so the contract pinned
+A single run is a 1-run stack, so the contract pinned
 here is that stacking many runs into one numpy call changes *nothing* about
 any individual run: slice ``r`` of an ``R``-run stack equals the 1-run
 stack of run ``r`` — per-run generators spawned from the same seeds,
@@ -16,14 +16,15 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro._reference import decide_reference, simulate_worker_timings_reference
 from repro.api.builders import build_injector
 from repro.api.spec import StragglerSpec
+from repro.coding.decoding import Decoder
 from repro.coding.registry import build_strategy, natural_partitions
 from repro.experiments.clusters import build_cluster
 from repro.simulation.cluster import uniform_cluster
 from repro.simulation.network import LogNormalNetwork, SimpleNetwork
 from repro.simulation.rng import RngStreams
-from repro.simulation.timing import simulate_worker_timing_arrays
 from repro.simulation.vectorized import (
     StackedRun,
     TimingTraceKernel,
@@ -184,15 +185,30 @@ class TestRunStackedBitIdentity:
                 assert 1 not in used
 
     def test_deterministic_stack_matches_v1_run(self):
-        # Noise-free cluster + rng-free injector: the v1 scalar path, the
-        # batched path and the stacked path must all coincide exactly.
+        # Noise-free, identical workers: which workers the injector delays
+        # cannot matter, so the v1 scalar loop of repro._reference and the
+        # stacked path must coincide exactly.
         cluster = uniform_cluster("flat", 6, compute_noise=0.0)
         kernel = make_kernel(cluster, scheme="cyclic")
         spec = STRAGGLER_SPECS["artificial_delay"]
-        v1 = kernel.run(10, rng=0, injector=build_injector(spec))
+        injector, rng = build_injector(spec), np.random.default_rng(0)
+        decoder = Decoder(kernel.strategy)
+        v1 = []
+        for iteration in range(10):
+            timings = simulate_worker_timings_reference(
+                cluster,
+                kernel.workloads,
+                injector=injector,
+                iteration=iteration,
+                gradient_bytes=kernel.gradient_bytes,
+                network=kernel.network,
+                rng=rng,
+            )
+            completion = [timing.completion_time for timing in timings]
+            v1.append(decide_reference(decoder, completion)[0])
         stacked = kernel.run_stacked(10, stacked_runs([0, 1], spec, False))
         for arrays in stacked:
-            np.testing.assert_array_equal(arrays.durations, v1.durations)
+            np.testing.assert_array_equal(arrays.durations, v1)
 
     def test_per_run_clusters_share_the_decoder(self):
         # Seed sweeps build seed-dependent clusters; decode decisions depend
@@ -296,8 +312,8 @@ class TestIndependentComposition:
 
     def test_deterministic_rows_match_the_scalar_path(self):
         # Noise-free cluster, rng-free injector, deterministic network: every
-        # stacked row equals a per-iteration simulate_worker_timing_arrays
-        # call (the original scalar kernel all the batch forms grew from).
+        # stacked row equals a per-iteration call of the scalar per-worker
+        # loop in repro._reference (which all the batch forms grew from).
         cluster = uniform_cluster("flat", 5, compute_noise=0.0)
         workloads = np.array([16.0, 0.0, 16.0, 16.0, 16.0])
         pinned = StragglerSpec(
@@ -315,13 +331,17 @@ class TestIndependentComposition:
             network=SimpleNetwork(),
         )
         for iteration in range(4):
-            ref_compute, ref_delays, ref_comm = simulate_worker_timing_arrays(
+            timings = simulate_worker_timings_reference(
                 cluster,
                 workloads,
                 injector=injector,
                 iteration=iteration,
                 gradient_bytes=1e6,
                 network=SimpleNetwork(),
+            )
+            ref_compute, ref_delays, ref_comm = (
+                np.array([getattr(timing, field) for timing in timings])
+                for field in ("compute_time", "injected_delay", "comm_time")
             )
             np.testing.assert_array_equal(compute[0, iteration], ref_compute)
             np.testing.assert_array_equal(delays[0, iteration], ref_delays)

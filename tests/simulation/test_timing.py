@@ -1,6 +1,13 @@
-"""Unit tests for the iteration timing engine."""
+"""Unit tests for the iteration timing model, through the timing kernel.
+
+Each test simulates one iteration as a 1-iteration, 1-run stack of
+:class:`~repro.simulation.vectorized.TimingTraceKernel` (or its per-worker
+draw stage, :func:`simulate_worker_timing_arrays_stacked`).
+"""
 
 from __future__ import annotations
+
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,13 +18,69 @@ from repro.coding import (
     naive_strategy,
 )
 from repro.simulation.network import SimpleNetwork, ZeroCommunication
+from repro.simulation.rng import RngStreams
 from repro.simulation.stragglers import ArtificialDelay, FailStop, NoStragglers
-from repro.simulation.timing import (
-    TimingError,
-    simulate_iteration,
-    simulate_worker_timings,
-    worker_workloads,
+from repro.simulation.timing import TimingError, worker_workloads
+from repro.simulation.vectorized import (
+    StackedRun,
+    TimingTraceKernel,
+    simulate_worker_timing_arrays_stacked,
 )
+
+
+def one_run(injector=None, seed=0):
+    streams = RngStreams.from_seed(seed)
+    return [
+        StackedRun(
+            injector_rng=streams.injector,
+            jitter_rng=streams.jitter,
+            network_rng=streams.network,
+            injector=injector,
+        )
+    ]
+
+
+def simulate_worker_timings(
+    cluster, workloads, injector=None, network=None, gradient_bytes=0.0, rng=0
+):
+    """One iteration's per-worker timing breakdown."""
+    compute, delays, comm = simulate_worker_timing_arrays_stacked(
+        cluster,
+        workloads,
+        1,
+        one_run(injector, seed=rng),
+        gradient_bytes=gradient_bytes,
+        network=network,
+    )
+    completion = compute[0, 0] + delays[0, 0] + comm
+    return [
+        SimpleNamespace(
+            compute_time=compute[0, 0, worker],
+            injected_delay=delays[0, 0, worker],
+            comm_time=comm[worker],
+            completion_time=completion[worker],
+            failed=bool(np.isinf(completion[worker])),
+        )
+        for worker in range(cluster.num_workers)
+    ]
+
+
+def simulate_iteration(
+    strategy, cluster, samples_per_partition, injector=None, network=None, rng=0
+):
+    """One iteration through the kernel, as a small record."""
+    kernel = TimingTraceKernel(
+        strategy, cluster, samples_per_partition, network=network
+    )
+    (arrays,) = kernel.run_stacked(1, one_run(injector, seed=rng))
+    duration = float(arrays.durations[0])
+    return SimpleNamespace(
+        duration=duration,
+        decodable=bool(np.isfinite(duration)),
+        completion_times=arrays.completion_times[0],
+        workers_used=arrays.workers_used.tuples()[0],
+        used_group=arrays.used_groups.tuples()[0],
+    )
 
 
 @pytest.fixture
@@ -49,7 +112,7 @@ class TestSimulateWorkerTimings:
     def test_no_noise_no_delay_exact_times(self, small_cluster):
         workloads = [100, 200, 300, 400, 400]
         timings = simulate_worker_timings(
-            small_cluster, workloads, network=ZeroCommunication(), rng=None
+            small_cluster, workloads, network=ZeroCommunication()
         )
         # small_cluster throughputs are [100, 200, 300, 400, 400] with zero
         # noise, so every worker takes exactly 1 second of compute.
@@ -63,7 +126,7 @@ class TestSimulateWorkerTimings:
         workloads = [0, 200, 300, 400, 400]
         network = SimpleNetwork(latency_seconds=0.5, bandwidth_bytes_per_second=1e12)
         timings = simulate_worker_timings(
-            small_cluster, workloads, network=network, gradient_bytes=10, rng=None
+            small_cluster, workloads, network=network, gradient_bytes=10
         )
         assert timings[0].comm_time == 0.0
         assert timings[1].comm_time == pytest.approx(0.5, rel=1e-6)
@@ -104,7 +167,6 @@ class TestSimulateIteration:
             samples_per_partition=70,
             injector=NoStragglers(),
             network=ZeroCommunication(),
-            rng=None,
         )
         assert timing.decodable
         # Loads are proportional to throughput => everyone finishes near the
@@ -121,7 +183,6 @@ class TestSimulateIteration:
             small_cluster,
             samples_per_partition=100,
             network=ZeroCommunication(),
-            rng=None,
         )
         # Slowest worker: 100 samples at 100 samples/s.
         assert timing.duration == pytest.approx(1.0)
@@ -134,7 +195,6 @@ class TestSimulateIteration:
             small_cluster,
             samples_per_partition=100,
             injector=FailStop({0: 0}),
-            rng=None,
         )
         assert not timing.decodable
         assert np.isinf(timing.duration)
@@ -147,7 +207,6 @@ class TestSimulateIteration:
             samples_per_partition=70,
             injector=FailStop({4: 0}),
             network=ZeroCommunication(),
-            rng=None,
         )
         assert timing.decodable
         assert 4 not in timing.workers_used
@@ -159,7 +218,6 @@ class TestSimulateIteration:
             small_cluster,
             samples_per_partition=100,
             network=ZeroCommunication(),
-            rng=None,
         )
         # Each worker holds 2 partitions = 200 samples; the master can skip
         # only the single slowest worker, so the second-slowest (200 samples

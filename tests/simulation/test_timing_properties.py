@@ -1,4 +1,8 @@
-"""Property-based tests for the iteration timing engine's invariants."""
+"""Property-based tests for the iteration timing engine's invariants.
+
+Each example simulates one iteration as a 1-iteration, 1-run stack of the
+timing kernel.
+"""
 
 from __future__ import annotations
 
@@ -9,10 +13,29 @@ from repro.coding import Decoder, build_strategy, natural_partitions
 from repro.metrics.resource_usage import iteration_resource_usage
 from repro.simulation.cluster import ClusterSpec
 from repro.simulation.network import SimpleNetwork
+from repro.simulation.rng import RngStreams
 from repro.simulation.stragglers import ArtificialDelay, NoStragglers
-from repro.simulation.timing import simulate_iteration
-from repro.simulation.trace import IterationRecord
+from repro.simulation.trace import RunTrace
+from repro.simulation.vectorized import StackedRun, TimingTraceKernel
 from repro.simulation.workers import WorkerSpec
+
+
+def simulate_iteration(
+    strategy, cluster, samples_per_partition, injector=None, network=None, rng=0
+):
+    """Iteration 0 of a 1-run stack, as a trace record."""
+    kernel = TimingTraceKernel(
+        strategy, cluster, samples_per_partition, network=network
+    )
+    streams = RngStreams.from_seed(rng)
+    run = StackedRun(
+        injector_rng=streams.injector,
+        jitter_rng=streams.jitter,
+        network_rng=streams.network,
+        injector=injector,
+    )
+    (arrays,) = kernel.run_stacked(1, [run])
+    return RunTrace.from_arrays("prop", cluster.name, arrays).records[0]
 
 
 def make_cluster(speeds: list[float]) -> ClusterSpec:
@@ -58,7 +81,7 @@ def test_duration_equals_latest_used_worker(speeds, scheme, seed):
         network=SimpleNetwork(),
         rng=seed,
     )
-    assert timing.decodable
+    assert timing.duration < float("inf")
     used_times = [timing.completion_times[w] for w in timing.workers_used]
     assert timing.duration == max(used_times)
     # No worker that finished *after* the duration was needed.
@@ -86,7 +109,7 @@ def test_used_workers_can_actually_decode(speeds, seed):
         network=SimpleNetwork(),
         rng=seed,
     )
-    assert timing.decodable
+    assert timing.duration < float("inf")
     assert Decoder(strategy).can_decode(timing.workers_used)
 
 
@@ -109,15 +132,7 @@ def test_resource_usage_bounded(speeds, seed):
         network=SimpleNetwork(),
         rng=seed,
     )
-    record = IterationRecord(
-        iteration=0,
-        duration=timing.duration,
-        train_loss=0.0,
-        compute_times=tuple(timing.compute_times),
-        completion_times=tuple(timing.completion_times),
-        workers_used=timing.workers_used,
-    )
-    usage = iteration_resource_usage(record)
+    usage = iteration_resource_usage(timing)
     assert 0.0 < usage <= 1.0
 
 
@@ -155,7 +170,7 @@ def test_heter_aware_duration_insensitive_to_single_delay(speeds, delay, seed):
         network=SimpleNetwork(),
         rng=seed,
     )
-    assert delayed.decodable
+    assert delayed.duration < float("inf")
     # The delayed run is never worse than waiting for every non-delayed
     # worker plus jitter; in particular it never inherits the full delay
     # when the delay exceeds the spread of normal completion times.

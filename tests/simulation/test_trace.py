@@ -50,10 +50,15 @@ class TestIterationRecord:
 
 
 class TestRunTrace:
-    def test_append_and_accessors(self):
-        trace = RunTrace(scheme="heter_aware", cluster_name="Cluster-A")
-        trace.append(make_record(0, duration=1.0, loss=2.0))
-        trace.append(make_record(1, duration=2.0, loss=1.0))
+    def test_records_and_accessors(self):
+        trace = RunTrace(
+            scheme="heter_aware",
+            cluster_name="Cluster-A",
+            records=[
+                make_record(0, duration=1.0, loss=2.0),
+                make_record(1, duration=2.0, loss=1.0),
+            ],
+        )
         assert trace.num_iterations == 2
         assert np.allclose(trace.durations, [1.0, 2.0])
         assert np.allclose(trace.losses, [2.0, 1.0])
@@ -63,18 +68,21 @@ class TestRunTrace:
         assert trace.completed
 
     def test_rejects_out_of_order_iterations(self):
-        trace = RunTrace(scheme="x", cluster_name="y")
-        trace.append(make_record(3))
-        with pytest.raises(TraceError):
-            trace.append(make_record(3))
-        with pytest.raises(TraceError):
-            trace.append(make_record(1))
+        with pytest.raises(TraceError, match="3 after 3"):
+            RunTrace(scheme="x", cluster_name="y", records=[make_record(3)] * 2)
+        with pytest.raises(TraceError, match="1 after 3"):
+            RunTrace(
+                scheme="x",
+                cluster_name="y",
+                records=[make_record(0), make_record(3), make_record(1)],
+            )
 
-    def test_extend_rejects_out_of_order_batch(self):
+    def test_is_immutable(self):
         trace = RunTrace(scheme="x", cluster_name="y", records=[make_record(0)])
-        with pytest.raises(TraceError, match="2 after 2"):
-            trace.extend([make_record(2), make_record(2)])
-        assert trace.num_iterations == 1
+        assert not hasattr(trace, "append")
+        assert not hasattr(trace, "extend")
+        with pytest.raises(ValueError):
+            trace.durations[0] = 5.0
 
     def test_repr_names_scheme_cluster_and_length(self):
         trace = RunTrace(
@@ -87,8 +95,11 @@ class TestRunTrace:
         )
 
     def test_incomplete_run_detected(self):
-        trace = RunTrace(scheme="naive", cluster_name="c")
-        trace.append(make_record(0, duration=float("inf")))
+        trace = RunTrace(
+            scheme="naive",
+            cluster_name="c",
+            records=[make_record(0, duration=float("inf"))],
+        )
         assert not trace.completed
 
     def test_empty_trace(self):
@@ -97,16 +108,22 @@ class TestRunTrace:
         assert np.isnan(trace.mean_iteration_time())
 
     def test_loss_curve(self):
-        trace = RunTrace(scheme="x", cluster_name="y")
-        trace.append(make_record(0, duration=1.0, loss=3.0))
-        trace.append(make_record(1, duration=1.0, loss=2.0))
+        trace = RunTrace(
+            scheme="x",
+            cluster_name="y",
+            records=[
+                make_record(0, duration=1.0, loss=3.0),
+                make_record(1, duration=1.0, loss=2.0),
+            ],
+        )
         times, losses = trace.loss_curve()
         assert np.allclose(times, [1.0, 2.0])
         assert np.allclose(losses, [3.0, 2.0])
 
     def test_summary_keys(self):
-        trace = RunTrace(scheme="cyclic", cluster_name="Cluster-B")
-        trace.append(make_record(0))
+        trace = RunTrace(
+            scheme="cyclic", cluster_name="Cluster-B", records=[make_record(0)]
+        )
         summary = trace.summary()
         assert summary["scheme"] == "cyclic"
         assert summary["cluster"] == "Cluster-B"
@@ -114,17 +131,21 @@ class TestRunTrace:
         assert summary["completed"] is True
 
     def test_summary_with_stall(self):
-        trace = RunTrace(scheme="naive", cluster_name="c")
-        trace.append(make_record(0, duration=float("inf")))
+        trace = RunTrace(
+            scheme="naive",
+            cluster_name="c",
+            records=[make_record(0, duration=float("inf"))],
+        )
         summary = trace.summary()
         assert summary["completed"] is False
 
 
 class TestRoundTrip:
     def make_trace(self) -> RunTrace:
-        trace = RunTrace(
+        return RunTrace(
             scheme="heter_aware",
             cluster_name="Cluster-A",
+            records=[make_record(0), make_record(1, duration=2.0)],
             metadata={
                 "mode": "timing_only",
                 "num_workers": 2,
@@ -133,8 +154,6 @@ class TestRoundTrip:
                 "custom_downstream_key": {"nested": [1, 2, 3]},
             },
         )
-        trace.extend([make_record(0), make_record(1, duration=2.0)])
-        return trace
 
     def test_every_metadata_key_survives(self):
         trace = self.make_trace()

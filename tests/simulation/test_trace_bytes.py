@@ -264,10 +264,9 @@ class TestRunTraceFromColumns:
         trace = RunTrace.from_columns("ssp", "Cluster-A", columns)
         assert trace.num_iterations == columns.num_iterations
         assert np.array_equal(trace.columns().iterations, columns.iterations)
-        # appending must continue from the preserved numbering
-        assert trace._last_iteration == int(columns.iterations[-1])
+        assert [r.iteration for r in trace.records] == columns.iterations.tolist()
 
     def test_empty_columns(self):
         trace = RunTrace.from_columns("naive", "Cluster-A", TraceColumns.empty())
         assert trace.num_iterations == 0
-        assert trace._last_iteration is None
+        assert trace.records == []

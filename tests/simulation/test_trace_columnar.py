@@ -5,8 +5,8 @@ Locked-in guarantees:
 * ``from_arrays`` → ``records`` view → ``to_dict`` round-trips losslessly,
   and the JSON is byte-identical to a trace built record by record;
 * the ``records`` compatibility view is lazy and cached;
-* ``durations``/``losses`` are served from cached columns and invalidated
-  on ``append``/``extend`` (the PR 4 hot-path fix);
+* ``durations``/``losses`` are served straight from the trace's one
+  immutable column block (the PR 4 hot-path fix);
 * the PR 3 unknown-key warning behaviour survives the columnar rewrite.
 """
 
@@ -174,43 +174,27 @@ class TestPropertyRoundTrip:
 
 
 class TestColumnCaching:
-    def test_durations_cached_until_append(self):
-        trace = RunTrace(scheme="x", cluster_name="y")
-        trace.append(self.record(0, duration=1.0))
+    def test_durations_served_from_the_column_block(self):
+        trace = RunTrace(
+            scheme="x",
+            cluster_name="y",
+            records=[self.record(0, duration=1.0), self.record(1, duration=2.0)],
+        )
         first = trace.durations
-        assert trace.durations is first  # cached, not rebuilt per access
-        trace.append(self.record(1, duration=2.0))
-        second = trace.durations
-        assert second is not first
-        assert np.allclose(second, [1.0, 2.0])
+        assert trace.durations is first  # not rebuilt per access
+        assert first is trace.columns().durations
+        assert np.allclose(first, [1.0, 2.0])
 
-    def test_extend_invalidates_and_elapsed_caches(self):
-        trace = RunTrace(scheme="x", cluster_name="y")
-        trace.extend([self.record(0), self.record(1)])
+    def test_elapsed_times_cached(self):
+        trace = RunTrace(
+            scheme="x", cluster_name="y", records=[self.record(0), self.record(1)]
+        )
         elapsed = trace.elapsed_times
         assert trace.elapsed_times is elapsed
-        trace.extend([self.record(2)])
-        assert trace.elapsed_times.shape == (3,)
-
-    def test_append_after_from_arrays(self):
-        arrays = random_arrays(np.random.default_rng(12), n=5, m=2)
-        trace = RunTrace.from_arrays("x", "y", arrays)
-        trace.append(self.record(5, duration=9.0))
-        assert trace.num_iterations == 6
-        assert trace.durations[-1] == pytest.approx(9.0)
-        assert trace.records[-1].iteration == 5
-        with pytest.raises(TraceError):
-            trace.append(self.record(5))
-
-    def test_out_of_order_append_rejected_against_arrays_base(self):
-        arrays = random_arrays(np.random.default_rng(13), n=5, m=2)
-        trace = RunTrace.from_arrays("x", "y", arrays)
-        with pytest.raises(TraceError):
-            trace.append(self.record(2))
+        assert elapsed.shape == (2,)
 
     def test_columns_arrays_are_read_only(self):
-        trace = RunTrace(scheme="x", cluster_name="y")
-        trace.append(self.record(0))
+        trace = RunTrace(scheme="x", cluster_name="y", records=[self.record(0)])
         with pytest.raises(ValueError):
             trace.durations[0] = 99.0
 
@@ -227,15 +211,13 @@ class TestColumnCaching:
 
 
 class TestTraceColumns:
-    def test_from_records_concatenate_round_trip(self):
+    def test_from_records_round_trip(self):
         records = [TestColumnCaching.record(i, duration=float(i + 1)) for i in range(4)]
         columns = TraceColumns.from_records(records)
         assert columns.num_iterations == 4
         assert columns.num_workers == 2
         rebuilt = columns.materialize_records()
         assert rebuilt == records
-        merged = TraceColumns.concatenate([columns, TraceColumns.empty()])
-        assert merged.num_iterations == 4
 
     def test_empty_trace_columns(self):
         trace = RunTrace(scheme="x", cluster_name="y")

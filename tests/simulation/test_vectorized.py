@@ -1,9 +1,14 @@
-"""Equivalence tests: vectorized timing kernels vs the reference loops.
+"""Equivalence tests: the timing kernel vs the reference loops.
 
-The vectorized fast paths must be *exactly* equivalent — same RNG stream,
-same floats, same decode decisions — to the pre-PR per-worker/per-iteration
-implementations kept in :mod:`repro._reference`.  Randomized configurations
-(schemes, clusters, injectors, seeds) probe the equivalence property-style.
+The kernel draws each randomness component of a run from its own stream
+in whole-trace batches, then decides every iteration through the batched
+prefix search and its order memo.  The pre-PR per-worker/per-iteration
+implementations kept in :mod:`repro._reference` are the anchor: at matched
+component streams the kernel's compute times and communication times equal
+the reference's scalar draws, and every iteration decodes exactly where the
+reference's per-prefix search decodes the same completion times.
+Randomized configurations (schemes, clusters, injectors, seeds) probe the
+equivalence property-style.
 """
 
 from __future__ import annotations
@@ -12,10 +17,11 @@ import numpy as np
 import pytest
 
 from repro._reference import (
+    decide_reference,
     measure_timing_trace_reference,
-    simulate_iteration_reference,
     simulate_worker_timings_reference,
 )
+from repro.coding.decoding import Decoder
 from repro.coding.registry import build_strategy, natural_partitions
 from repro.experiments.common import measure_timing_trace
 from repro.simulation.cluster import cluster_from_vcpu_counts, uniform_cluster
@@ -24,14 +30,14 @@ from repro.simulation.stragglers import (
     ArtificialDelay,
     FailStop,
     NoStragglers,
+    StragglerInjector,
     TransientSlowdown,
 )
-from repro.simulation.timing import (
-    simulate_iteration,
-    simulate_worker_timing_arrays,
-    simulate_worker_timings,
+from repro.simulation.vectorized import (
+    StackedRun,
+    TimingTraceKernel,
+    simulate_worker_timing_arrays_stacked,
 )
-from repro.simulation.vectorized import TimingTraceKernel
 
 SCHEMES = ("naive", "cyclic", "fractional", "heter_aware", "group_based")
 
@@ -69,45 +75,74 @@ def injector_grid(seed: int):
     ]
 
 
+def one_run(injector, seed: int) -> list[StackedRun]:
+    """A 1-run stack whose injector and jitter streams are seeded apart."""
+    return [
+        StackedRun(
+            injector_rng=np.random.default_rng(seed),
+            jitter_rng=np.random.default_rng(seed + 1),
+            injector=injector,
+        )
+    ]
+
+
+def reference_compute_rows(cluster, workloads, iterations: int, seed: int):
+    """The reference's scalar jitter draws from the run's jitter stream
+    (``NoStragglers`` consumes nothing, so the stream holds jitter only)."""
+    jitter_rng = np.random.default_rng(seed + 1)
+    return np.array(
+        [
+            [
+                timing.compute_time
+                for timing in simulate_worker_timings_reference(
+                    cluster, workloads, iteration=iteration, rng=jitter_rng
+                )
+            ]
+            for iteration in range(iterations)
+        ]
+    )
+
+
+def assert_decisions_match_reference(strategy, arrays) -> None:
+    decoder = Decoder(strategy)
+    decisions = zip(
+        arrays.durations.tolist(), arrays.workers_used, arrays.used_groups
+    )
+    for completion, decision in zip(arrays.completion_times, decisions, strict=True):
+        assert decision == decide_reference(decoder, completion)
+
+
 class TestWorkerTimingsEquivalence:
     @pytest.mark.parametrize("seed", range(5))
     def test_batched_draws_match_reference_loop(self, seed):
         cluster = make_cluster(seed, mixed_noise=seed % 2 == 0)
         rng = np.random.default_rng(seed)
         workloads = rng.integers(0, 500, size=cluster.num_workers).astype(float)
+        expected_compute = reference_compute_rows(cluster, workloads, 4, seed)
+        reference_comm = [
+            timing.comm_time
+            for timing in simulate_worker_timings_reference(
+                cluster, workloads, gradient_bytes=1024.0, network=SimpleNetwork()
+            )
+        ]
         for injector in injector_grid(seed):
-            ref_rng = np.random.default_rng(seed + 1)
-            new_rng = np.random.default_rng(seed + 1)
-            for iteration in range(4):
-                reference = simulate_worker_timings_reference(
-                    cluster, workloads, injector=injector, iteration=iteration,
-                    gradient_bytes=1024.0, network=SimpleNetwork(), rng=ref_rng,
-                )
-                current = simulate_worker_timings(
-                    cluster, workloads, injector=injector, iteration=iteration,
-                    gradient_bytes=1024.0, network=SimpleNetwork(), rng=new_rng,
-                )
-                assert reference == current
-
-    def test_array_form_matches_object_form(self, small_cluster):
-        workloads = [100, 200, 0, 400, 400]
-        compute, delays, comm = simulate_worker_timing_arrays(
-            small_cluster, workloads, injector=ArtificialDelay(1, 2.0),
-            gradient_bytes=4096.0, network=SimpleNetwork(), rng=7,
-        )
-        timings = simulate_worker_timings(
-            small_cluster, workloads, injector=ArtificialDelay(1, 2.0),
-            gradient_bytes=4096.0, network=SimpleNetwork(), rng=7,
-        )
-        for worker, timing in enumerate(timings):
-            assert timing.compute_time == compute[worker]
-            assert timing.injected_delay == delays[worker]
-            assert timing.comm_time == comm[worker]
+            compute, delays, comm = simulate_worker_timing_arrays_stacked(
+                cluster, workloads, 4, one_run(injector, seed),
+                gradient_bytes=1024.0, network=SimpleNetwork(),
+            )
+            assert np.array_equal(compute[0], expected_compute)
+            assert comm.tolist() == reference_comm
+            assert np.array_equal(
+                delays[0],
+                injector.delays_batch(
+                    0, 4, cluster.num_workers, np.random.default_rng(seed)
+                ),
+            )
 
     def test_zero_workload_worker_pays_no_comm(self, small_cluster):
-        _, _, comm = simulate_worker_timing_arrays(
-            small_cluster, [0, 10, 10, 10, 10],
-            gradient_bytes=1e6, network=SimpleNetwork(), rng=0,
+        _, _, comm = simulate_worker_timing_arrays_stacked(
+            small_cluster, [0, 10, 10, 10, 10], 1, one_run(NoStragglers(), 0),
+            gradient_bytes=1e6, network=SimpleNetwork(),
         )
         assert comm[0] == 0.0
         assert np.all(comm[1:] > 0.0)
@@ -126,27 +161,12 @@ class TestSimulateIterationEquivalence:
             num_stragglers=1,
             rng=seed,
         )
+        kernel = TimingTraceKernel(
+            strategy, cluster, samples_per_partition=32, gradient_bytes=2048.0
+        )
         for injector in injector_grid(seed):
-            ref_rng = np.random.default_rng(seed)
-            new_rng = np.random.default_rng(seed)
-            for iteration in range(3):
-                reference = simulate_iteration_reference(
-                    strategy, cluster, samples_per_partition=32,
-                    injector=injector, iteration=iteration,
-                    gradient_bytes=2048.0, rng=ref_rng,
-                )
-                current = simulate_iteration(
-                    strategy, cluster, samples_per_partition=32,
-                    injector=injector, iteration=iteration,
-                    gradient_bytes=2048.0, rng=new_rng,
-                )
-                assert reference.duration == current.duration
-                assert reference.workers_used == current.workers_used
-                assert reference.used_group == current.used_group
-                assert reference.decodable == current.decodable
-                assert np.array_equal(
-                    reference.completion_times, current.completion_times
-                )
+            (arrays,) = kernel.run_stacked(3, one_run(injector, seed))
+            assert_decisions_match_reference(strategy, arrays)
 
 
 class TestTraceKernelEquivalence:
@@ -166,23 +186,15 @@ class TestTraceKernelEquivalence:
             strategy, cluster, samples_per_partition=32,
             injector=injector, network=SimpleNetwork(), gradient_bytes=2048.0,
         )
-        arrays = kernel.run(40, rng=np.random.default_rng(9))
-        loop_rng = np.random.default_rng(9)
-        for iteration in range(40):
-            timing = simulate_iteration_reference(
-                strategy, cluster, samples_per_partition=32,
-                injector=injector, iteration=iteration,
-                gradient_bytes=2048.0, network=SimpleNetwork(), rng=loop_rng,
-            )
-            assert timing.duration == arrays.durations[iteration]
-            assert timing.workers_used == arrays.workers_used[iteration]
-            assert timing.used_group == arrays.used_groups[iteration]
-            assert np.array_equal(
-                timing.completion_times, arrays.completion_times[iteration]
-            )
+        (arrays,) = kernel.run_stacked(40, one_run(None, 9))
+        assert np.array_equal(
+            arrays.compute_times,
+            reference_compute_rows(cluster, kernel.workloads, 40, 9),
+        )
+        assert_decisions_match_reference(strategy, arrays)
 
     def test_kernel_rejects_bad_injector_on_any_iteration(self):
-        class BadAfterFirst(NoStragglers):
+        class BadAfterFirst(StragglerInjector):
             def delays(self, iteration, num_workers, rng):
                 if iteration == 0:
                     return np.zeros(num_workers)
@@ -196,11 +208,11 @@ class TestTraceKernelEquivalence:
         kernel = TimingTraceKernel(
             strategy, cluster, samples_per_partition=8, injector=BadAfterFirst()
         )
-        with pytest.raises(Exception, match="wrong number of delays"):
-            kernel.run(3, rng=0)
+        with pytest.raises(Exception, match=r"returned shape \(5,\)"):
+            kernel.run_stacked(3, one_run(None, 0))
 
     def test_kernel_drops_nan_completions_like_reference(self):
-        class NanDelay(NoStragglers):
+        class NanDelay(StragglerInjector):
             def delays(self, iteration, num_workers, rng):
                 delays = np.zeros(num_workers)
                 delays[0] = np.nan
@@ -214,15 +226,10 @@ class TestTraceKernelEquivalence:
         kernel = TimingTraceKernel(
             strategy, cluster, samples_per_partition=8, injector=NanDelay()
         )
-        arrays = kernel.run(2, rng=0)
-        loop_rng = np.random.default_rng(0)
-        for iteration in range(2):
-            timing = simulate_iteration_reference(
-                strategy, cluster, samples_per_partition=8,
-                injector=NanDelay(), iteration=iteration, rng=loop_rng,
-            )
-            assert timing.duration == arrays.durations[iteration]
-            assert timing.workers_used == arrays.workers_used[iteration]
+        (arrays,) = kernel.run_stacked(2, one_run(None, 0))
+        assert np.isnan(arrays.completion_times[:, 0]).all()
+        assert all(0 not in workers for workers in arrays.workers_used)
+        assert_decisions_match_reference(strategy, arrays)
 
     def test_kernel_handles_undecodable_runs(self):
         cluster = uniform_cluster("uni", 4, compute_noise=0.0)
@@ -234,7 +241,7 @@ class TestTraceKernelEquivalence:
             strategy, cluster, samples_per_partition=8,
             injector=FailStop({0: 0}),
         )
-        arrays = kernel.run(5, rng=0)
+        (arrays,) = kernel.run_stacked(5, one_run(None, 0))
         assert np.all(np.isinf(arrays.durations))
         assert arrays.workers_used.tuples() == ((),) * 5
         assert not arrays.decodable.any()
@@ -244,7 +251,7 @@ class TestMeasureTimingTraceEquivalence:
     @pytest.mark.parametrize("scheme", SCHEMES)
     @pytest.mark.parametrize("seed", [0, 11])
     @pytest.mark.filterwarnings("ignore::UserWarning")
-    def test_full_trace_identical_to_reference(self, scheme, seed):
+    def test_full_trace_matches_reference(self, scheme, seed):
         cluster = make_cluster(seed)
         reference = measure_timing_trace_reference(
             scheme, cluster, num_stragglers=1, total_samples=2048,
@@ -254,17 +261,15 @@ class TestMeasureTimingTraceEquivalence:
             scheme, cluster, num_stragglers=1, total_samples=2048,
             num_iterations=60, injector=ArtificialDelay(1, 1.0), seed=seed,
         )
-        assert reference.metadata == current.metadata
-        assert np.array_equal(reference.durations, current.durations)
-        for ref_record, new_record in zip(reference.records, current.records):
-            assert tuple(map(float, ref_record.compute_times)) == tuple(
-                map(float, new_record.compute_times)
-            )
-            assert tuple(map(float, ref_record.completion_times)) == tuple(
-                map(float, new_record.completion_times)
-            )
-            assert ref_record.workers_used == new_record.workers_used
-            assert ref_record.used_group == new_record.used_group
+        assert current.metadata == {**reference.metadata, "rng_version": 2}
+        strategy = build_strategy(
+            scheme,
+            throughputs=cluster.estimated_throughputs,
+            num_partitions=current.metadata["num_partitions"],
+            num_stragglers=1,
+            rng=np.random.default_rng(seed),
+        )
+        assert_decisions_match_reference(strategy, current.columns())
 
     def test_trace_round_trips_through_json(self):
         cluster = make_cluster(0)

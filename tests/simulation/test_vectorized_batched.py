@@ -1,10 +1,13 @@
-"""Tests for the ``rng_version=2`` kernel path (a 1-run stack) and the kernel cache."""
+"""Tests for the kernel's run path (a 1-run stack) and the kernel cache."""
 
 from __future__ import annotations
+
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from repro._reference import simulate_iteration_reference
 from repro.coding.registry import build_strategy, natural_partitions
 from repro.simulation.cluster import cluster_from_vcpu_counts, uniform_cluster
 from repro.simulation.network import SimpleNetwork
@@ -50,6 +53,29 @@ def one_run(kernel, num_iterations, injector_rng=0, jitter_rng=1, injector=None)
     return arrays
 
 
+def v1_reference_run(kernel, num_iterations, rng, injector):
+    """The kernel's configuration through the v1 per-iteration loop."""
+    generator = np.random.default_rng(rng)
+    timings = [
+        simulate_iteration_reference(
+            kernel.strategy,
+            kernel.cluster,
+            samples_per_partition=max(1, 2048 // kernel.strategy.num_partitions),
+            decoder=kernel.decoder,
+            injector=injector,
+            iteration=iteration,
+            gradient_bytes=kernel.gradient_bytes,
+            network=kernel.network,
+            rng=generator,
+        )
+        for iteration in range(num_iterations)
+    ]
+    return SimpleNamespace(
+        durations=np.array([timing.duration for timing in timings]),
+        compute_times=np.array([timing.compute_times for timing in timings]),
+    )
+
+
 class TestOneRunStack:
     def test_shapes_and_determinism(self):
         kernel, _, _ = make_kernel()
@@ -79,7 +105,7 @@ class TestOneRunStack:
     def test_statistically_close_to_v1(self):
         kernel, _, _ = make_kernel()
         injector = ArtificialDelay(1, 1.0)
-        v1 = kernel.run(2000, rng=0, injector=injector)
+        v1 = v1_reference_run(kernel, 2000, rng=0, injector=injector)
         streams = RngStreams.from_seed(0)
         v2 = one_run(kernel, 2000, streams.injector, streams.jitter, injector)
         assert np.isfinite(v1.durations).all() and np.isfinite(v2.durations).all()
@@ -95,14 +121,14 @@ class TestOneRunStack:
         for used in arrays.workers_used:
             assert 0 not in used
 
-    def test_order_cache_shared_with_v1_path(self):
+    def test_order_cache_shared_across_runs(self):
         kernel, _, _ = make_kernel(scheme="cyclic", noise=0.0)
-        kernel.run(20, rng=0)
+        one_run(kernel, 20, injector_rng=0, jitter_rng=0)
         cached = len(kernel._order_cache)
         assert cached > 0
-        # Noise-free cluster: completion orders repeat, so the stacked path
+        # Noise-free cluster: completion orders repeat, so a later run
         # re-uses the memoised decisions instead of re-deriving them.
-        one_run(kernel, 20)
+        one_run(kernel, 20, injector_rng=5, jitter_rng=6)
         assert len(kernel._order_cache) == cached
 
     def test_rejects_nonpositive_iterations(self):
@@ -218,7 +244,9 @@ class TestTimingKernelCache:
             gradient_bytes=1024.0,
         )
         assert a is not b
-        assert not np.array_equal(a._comm, b._comm)
+        assert not np.array_equal(
+            one_run(a, 3).completion_times, one_run(b, 3).completion_times
+        )
         # Equal parameters in a fresh model instance still hit.
         again = cache.get_or_build(
             strategy, cluster, 64,
@@ -246,7 +274,7 @@ class TestTimingKernelCache:
         )
         injector = ArtificialDelay(1, 1.0)
         assert np.array_equal(
-            warm.run(40, rng=0, injector=injector).durations,
-            fresh.run(40, rng=0, injector=injector).durations,
+            one_run(warm, 40, injector=injector).durations,
+            one_run(fresh, 40, injector=injector).durations,
         )
         assert kernel is warm

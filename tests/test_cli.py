@@ -37,6 +37,13 @@ class TestParser:
         with pytest.raises(SystemExit):
             parser.parse_args(["fig9"])
 
+    @pytest.mark.parametrize("version", ["1", "2"])
+    def test_run_has_no_rng_version_flag(self, version, capsys):
+        # The engine runs one RNG layout, so there is nothing to choose.
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["run", "--rng-version", version])
+        assert "unrecognized arguments: --rng-version" in capsys.readouterr().err
+
 
 class TestCommands:
     """Run each sub-command at a tiny scale and check its report output."""
@@ -143,6 +150,7 @@ class TestCommands:
         out = capsys.readouterr().out
         result = RunResult.from_json(out)
         assert result.spec.scheme == "naive"
+        assert result.spec.rng_version == 2
         assert result.metrics["num_iterations"] == 2
         # The payload carries the spec's content address (from_json ignores
         # the extra key), so pipelines can key artifacts off the output.
@@ -174,6 +182,18 @@ class TestCommands:
         assert code == 0
         out = capsys.readouterr().out
         assert "cyclic" in out
+
+    def test_run_from_pre_rng_version_spec_file_is_refused(self, tmp_path):
+        import json
+
+        from repro.api import RngVersionError, RunSpec
+
+        data = RunSpec(num_iterations=2, total_samples=256).to_dict()
+        del data["rng_version"]  # written before the field existed: a v1 run
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(RngVersionError):
+            main(["run", "--spec", str(path)])
 
     def test_plugins(self, capsys):
         code = main(["plugins"])

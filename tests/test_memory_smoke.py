@@ -41,13 +41,13 @@ class TestTraceMemorySmoke:
             # Warm imports/caches outside the measurement window.
             measure_timing_trace(
                 "heter_aware", cluster, num_stragglers=1, total_samples=2048,
-                num_iterations=10, seed=0, rng_version=2,
+                num_iterations=10, seed=0,
             )
             tracemalloc.start()
             try:
                 trace = measure_timing_trace(
                     "heter_aware", cluster, num_stragglers=1, total_samples=2048,
-                    num_iterations=NUM_ITERATIONS, seed=0, rng_version=2,
+                    num_iterations=NUM_ITERATIONS, seed=0,
                 )
                 _, peak = tracemalloc.get_traced_memory()
             finally:
@@ -68,7 +68,7 @@ class TestTraceMemorySmoke:
             warnings.simplefilter("ignore", SampleCountDriftWarning)
             trace = measure_timing_trace(
                 "heter_aware", cluster, num_stragglers=1, total_samples=2048,
-                num_iterations=50, seed=0, rng_version=2,
+                num_iterations=50, seed=0,
             )
         records = trace.records
         assert len(records) == 50
